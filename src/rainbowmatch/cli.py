@@ -63,11 +63,21 @@ def _load_family(path: str) -> EdgeFamily:
     return loaded
 
 
+def _load_certificate(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise CertificateError(str(exc)) from exc
+
+
 def _seed(args) -> int:
     env = os.environ.get("RAINBOW_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise ParseError(f"RAINBOW_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_solve(args) -> int:
@@ -113,18 +123,24 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     seed = _seed(args)
-    if args.family == "sharpness":
-        if args.n is None or args.k is None:
-            raise ParseError("gen sharpness needs --n and --k")
-        _, fam = sharpness_family(args.n, args.k)
-    elif args.family == "drisko":
-        if args.n is None:
-            raise ParseError("gen drisko needs --n")
-        fam = drisko_family(args.n, seed)
-    else:
-        if args.k is None:
-            raise ParseError("gen staircase needs --k")
-        fam = staircase_family(args.k, seed)
+    try:
+        if args.family == "sharpness":
+            if args.n is None or args.k is None:
+                raise ParseError("gen sharpness needs --n and --k")
+            _, fam = sharpness_family(args.n, args.k)
+        elif args.family == "drisko":
+            if args.n is None:
+                raise ParseError("gen drisko needs --n")
+            fam = drisko_family(args.n, seed)
+        else:
+            if args.k is None:
+                raise ParseError("gen staircase needs --k")
+            fam = staircase_family(args.k, seed)
+    except ParseError:
+        raise  # a missing flag is a usage error, not a parameter mismatch
+    except ValueError as exc:
+        print(f"parameter mismatch: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
     print(family_dumps(fam), end="")
     return EXIT_OK
 
@@ -135,14 +151,7 @@ def _cmd_certify(args) -> int:
         raise ParseError(f"{args.input} must hold a network instance "
                          "(an object with 'inner' and 'sets')")
     nf = loaded
-    try:
-        cert = regimentation_from_certificate(json.loads(_read(args.regimentation)))
-    except json.JSONDecodeError as exc:
-        print(f"malformed certificate: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED_CERT
-    except CertificateError as exc:
-        print(f"malformed certificate: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED_CERT
+    cert = regimentation_from_certificate(_load_certificate(args.regimentation))
     violated = verify_regimentation(nf.network, nf, cert)
     if violated is not None:
         print(f"FAIL condition {violated}")
@@ -161,9 +170,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    result = conjecture_search(args.conjecture, k=args.k,
-                               budget=args.budget, seed=_seed(args),
-                               exhaustive=args.exhaustive)
+    seed = _seed(args)
+    try:
+        result = conjecture_search(args.conjecture, k=args.k,
+                                   budget=args.budget, seed=seed,
+                                   exhaustive=args.exhaustive)
+    except ValueError as exc:
+        print(f"parameter mismatch: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
     if result.found:
         print("counterexample")
         print(dumps_canonical({
@@ -181,11 +195,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     fam = _load_family(args.input)
-    try:
-        rm = matching_from_certificate(json.loads(_read(args.matching)))
-    except (json.JSONDecodeError, CertificateError) as exc:
-        print(f"malformed certificate: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED_CERT
+    rm = matching_from_certificate(_load_certificate(args.matching))
     try:
         net, nf = build_network(fam.graph, fam, rm)
     except ValueError as exc:
@@ -193,12 +203,8 @@ def _cmd_export_dot(args) -> int:
         return EXIT_PARAMS
     reg = None
     if args.regimentation:
-        try:
-            reg = regimentation_from_certificate(
-                json.loads(_read(args.regimentation)))
-        except (json.JSONDecodeError, CertificateError) as exc:
-            print(f"malformed certificate: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED_CERT
+        reg = regimentation_from_certificate(
+            _load_certificate(args.regimentation))
     print(network_dot(net, nf, reg), end="")
     return EXIT_OK
 

@@ -3,8 +3,9 @@
 With a family of inner-count + k - 1 members whose every k-union contains
 a source-target path, either some rainbow source-target path exists or
 the family is regimented.  The driver realizes this by search: rainbow
-path first, regimentation second.  A TheoremViolation result is the
-falsification channel and is never expected.
+path first, then the certificate the structure lemmas force.  A
+TheoremViolation result is the falsification channel and is never
+expected.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .network import Network, NetworkFamily, has_st_path
 from .paths import RainbowStPath, exhaustive_rainbow_path
-from .regiment import Regimentation, find_regimentation, verify_regimentation
+from .regiment import Regimentation, find_regimentation
 
 
 class UnionPathError(ValueError):
@@ -33,8 +34,26 @@ class TheoremViolation:
     detail: str
 
 
-def dichotomy(net: Network, nf: NetworkFamily, k: int,
-              path_bound: int = 8, regiment_bound: int = 6
+def path_or_certificate(net: Network, nf: NetworkFamily
+                        ) -> RainbowStPath | Regimentation | TheoremViolation:
+    """The least rainbow source-target path if one exists, else the
+    verified regimentation, else a TheoremViolation.
+
+    Neither the family size nor the k-union hypothesis is checked here.
+    Unlike a standalone exhaustive_rainbow_path call, the path search
+    takes networks of any size.
+    """
+    found = exhaustive_rainbow_path(net, nf, bound=len(net.inner))
+    if found is not None:
+        return found
+    certificate = find_regimentation(net, nf)
+    if certificate is not None:
+        return certificate
+    return TheoremViolation(
+        "no rainbow source-target path and no regimentation certificate")
+
+
+def dichotomy(net: Network, nf: NetworkFamily, k: int
               ) -> RainbowStPath | Regimentation | TheoremViolation:
     """Return a rainbow source-target path if one exists, else a verified
     regimentation; the hypothesis and the family size are checked first.
@@ -48,11 +67,4 @@ def dichotomy(net: Network, nf: NetworkFamily, k: int,
     for picked in itertools.combinations(range(1, m + 1), k):
         if not has_st_path(nf.union(picked), net.source, net.target):
             raise UnionPathError(picked)
-    found = exhaustive_rainbow_path(net, nf, bound=path_bound)
-    if found is not None:
-        return found
-    certificate = find_regimentation(net, nf, bound=regiment_bound)
-    if certificate is not None and verify_regimentation(net, nf, certificate) is None:
-        return certificate
-    return TheoremViolation(
-        "no rainbow source-target path and no regimentation certificate")
+    return path_or_certificate(net, nf)

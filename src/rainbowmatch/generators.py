@@ -57,6 +57,20 @@ def staircase_family(k: int, seed: int = 0) -> EdgeFamily:
     return EdgeFamily(g, tuple(sets))
 
 
+def random_family(graph: BipartiteGraph, members: int, rng: SplitMix64,
+                  permille: int) -> EdgeFamily:
+    """members edge subsets, each edge kept with probability permille/1000;
+    a subset left empty gets one uniformly drawn edge instead."""
+    edges = sorted(graph.edges)
+    sets = []
+    for _ in range(members):
+        chosen = {e for e in edges if rng.chance(permille, 1000)}
+        if not chosen:
+            chosen = {rng.choice(edges)}
+        sets.append(frozenset(chosen))
+    return EdgeFamily(graph, tuple(sets))
+
+
 def random_cooperative_family(n: int, k: int, graph: BipartiteGraph,
                               seed: int = 0, attempts: int = 200,
                               density: float = 0.6) -> EdgeFamily | None:
@@ -64,17 +78,9 @@ def random_cooperative_family(n: int, k: int, graph: BipartiteGraph,
     every k-union has matching number at least n; None when the attempt
     budget runs out.  Deterministic per seed."""
     rng = SplitMix64(seed)
-    edges = sorted(graph.edges)
-    numerator = max(0, min(1000, round(density * 1000)))
-    members = 2 * n + k - 3
+    permille = max(0, min(1000, round(density * 1000)))
     for _ in range(attempts):
-        sets = []
-        for _ in range(members):
-            chosen = {e for e in edges if rng.chance(numerator, 1000)}
-            if not chosen:
-                chosen = {rng.choice(edges)}
-            sets.append(frozenset(chosen))
-        fam = EdgeFamily(graph, tuple(sets))
+        fam = random_family(graph, 2 * n + k - 3, rng, permille)
         if cooperative_condition(fam, k, n) is None:
             return fam
     return None

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .network import BoundExceeded, Network, NetworkFamily, StPath, st_paths
+from .network import (BoundExceeded, Network, NetworkFamily, StPath,
+                      is_st_path, st_paths)
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,7 @@ class RainbowStPath:
 def verify_rainbow_path(nf: NetworkFamily, rp: RainbowStPath) -> bool:
     """Independent validity check: a real source-target path over the
     network, injectively represented, every arc owned by its member."""
-    net = nf.network
-    verts = rp.path.vertices
-    if verts[0] != net.source or verts[-1] != net.target:
-        return False
-    if not set(rp.path.interior) <= set(net.inner):
+    if not is_st_path(nf.network, rp.path, require_arcs=False):
         return False
     arcs = rp.path.arcs
     members = list(rp.representation.values())

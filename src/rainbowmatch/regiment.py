@@ -4,8 +4,8 @@ A regimentation is a set of internally disjoint source-target paths
 covering every network vertex, together with an assignment of "essential"
 members onto the paths: each path with c arcs gets exactly c - 1 members,
 each containing all of the path's arcs.  This module verifies such
-certificates, searches for them exhaustively on small networks, and turns
-the structural consequences they must satisfy into executable checks.
+certificates, builds the one the structure lemmas force, and turns the
+structural consequences they must satisfy into executable checks.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .network import (Network, NetworkFamily, StPath, BoundExceeded,
-                      has_st_path, is_st_path, st_paths)
+from .network import (Network, NetworkFamily, StPath, has_st_path, is_st_path,
+                      st_paths)
 from .paths import exhaustive_rainbow_path
 
 
@@ -104,73 +104,34 @@ def verify_regimentation(net: Network, nf: NetworkFamily,
     return None
 
 
-def _interior_partitions(items: tuple) -> Iterator[tuple]:
-    """Partitions of items into ordered blocks, deterministically:
-    the block holding the earliest remaining vertex is chosen first, by
-    ascending extra-size then lexicographic content, then every ordering
-    of the block, then the rest recursively."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(range(len(rest)), r):
-            block = (first,) + tuple(rest[i] for i in extra)
-            leftover = tuple(rest[i] for i in range(len(rest)) if i not in extra)
-            for ordering in itertools.permutations(block):
-                for tail in _interior_partitions(leftover):
-                    yield (ordering,) + tail
+def find_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None:
+    """Build the certificate the structure lemmas force; None when it does
+    not verify.
 
-
-def find_regimentation(net: Network, nf: NetworkFamily,
-                       bound: int = 6) -> Regimentation | None:
-    """Exhaustively search for a regimentation; None when there is none.
-
-    Enumerates interior partitions into ordered blocks (each a path), then
-    backtracks over assignments satisfying the containment and counting
-    conditions; the first hit in that deterministic order wins.
+    Without a rainbow source-target path, a member is essential exactly
+    when it contains a source-target path, and it then contains exactly
+    its assigned one.  So the members holding a single path, grouped by
+    that path and ordered by the path's lowest-ranked interior vertex,
+    are the only candidate; verify_regimentation decides.  While a
+    rainbow path exists the result may be None even if some other
+    certificate verifies.
     """
-    if len(net.inner) > bound:
-        raise BoundExceeded(
-            f"{len(net.inner)} inner vertices exceed the bound {bound}")
     if not net.inner:
         # the bare source-target path covers everything and carries no members
         return Regimentation((StPath((net.source, net.target)),), {})
-    members = list(range(1, len(nf) + 1))
-    for system in _interior_partitions(net.inner):
-        paths = [StPath((net.source, *block, net.target)) for block in system]
-        need = [len(q.arcs) - 1 for q in paths]
-        candidates = [[m for m in members if set(q.arcs) <= nf.member(m)]
-                      for q in paths]
-        if any(len(c) < w for c, w in zip(candidates, need)):
-            continue
-        assignment = _assign_members(need, candidates)
-        if assignment is not None:
-            return Regimentation(tuple(paths), assignment)
-    return None
-
-
-def _assign_members(need: list[int], candidates: list[list[int]]) -> dict | None:
-    used: set[int] = set()
-    result: dict[int, int] = {}
-
-    def walk(j: int) -> bool:
-        if j == len(need):
-            return True
-        for combo in itertools.combinations(candidates[j], need[j]):
-            if any(m in used for m in combo):
-                continue
-            used.update(combo)
-            for m in combo:
-                result[m] = j
-            if walk(j + 1):
-                return True
-            used.difference_update(combo)
-            for m in combo:
-                del result[m]
-        return False
-
-    return dict(result) if walk(0) else None
+    groups: dict[StPath, list[int]] = {}
+    for member in range(1, len(nf) + 1):
+        found = list(itertools.islice(st_paths(nf.member(member), net), 2))
+        if len(found) == 1:
+            groups.setdefault(found[0], []).append(member)
+    paths = sorted(groups, key=lambda q: min(map(net.rank, q.interior),
+                                             default=0))
+    certificate = Regimentation(
+        tuple(paths),
+        {m: pos for pos, q in enumerate(paths) for m in groups[q]})
+    if verify_regimentation(net, nf, certificate) is not None:
+        return None
+    return certificate
 
 
 @dataclass(frozen=True)
@@ -194,8 +155,8 @@ class StructureLemmaReport:
                 and bool(self.only_path_ok) and bool(self.essential_iff_path_ok))
 
 
-def check_structure_lemmas(net: Network, nf: NetworkFamily, r: Regimentation,
-                           path_bound: int = 8) -> StructureLemmaReport:
+def check_structure_lemmas(net: Network, nf: NetworkFamily,
+                           r: Regimentation) -> StructureLemmaReport:
     """Check, by enumeration, the consequences a verified certificate must
     satisfy when no rainbow source-target path exists:
 
@@ -212,7 +173,7 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily, r: Regimentation,
     """
     if verify_regimentation(net, nf, r) is not None:
         raise ValueError("certificate does not verify")
-    if exhaustive_rainbow_path(net, nf, bound=path_bound) is not None:
+    if exhaustive_rainbow_path(net, nf) is not None:
         return StructureLemmaReport(hypothesis_met=False)
     essential = set(r.assignment)
     counting_ok = len(essential) == len(net.inner)
@@ -238,8 +199,7 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily, r: Regimentation,
 
 
 def check_exchange_lemma(nf_g: NetworkFamily, nf_h: NetworkFamily,
-                         r_g: Regimentation, r_h: Regimentation,
-                         path_bound: int = 8) -> bool:
+                         r_g: Regimentation, r_h: Regimentation) -> bool:
     """Swap-stability of certificates under exchanging a single member.
 
     The two families must differ by exactly one member in each direction
@@ -260,7 +220,7 @@ def check_exchange_lemma(nf_g: NetworkFamily, nf_h: NetworkFamily,
     for nf, r in ((nf_g, r_g), (nf_h, r_h)):
         if verify_regimentation(nf.network, nf, r) is not None:
             raise ValueError("a certificate does not verify")
-        if exhaustive_rainbow_path(nf.network, nf, bound=path_bound) is not None:
+        if exhaustive_rainbow_path(nf.network, nf) is not None:
             raise ValueError("a family still has a rainbow source-target path")
 
     def essential_path(nf: NetworkFamily, r: Regimentation, content) -> StPath | None:

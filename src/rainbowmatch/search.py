@@ -12,9 +12,7 @@ union with its own copy), should admit a full rainbow matching of size
 
 Both searches either exhaust a small instance space or sample seeded
 random instances up to a budget; any counterexample returned has been
-re-verified.  The instance stream is deterministic per seed, and the
-exhaustive enumeration is sharded by the first member so shards can be
-processed independently and merged in order.
+re-verified.  The instance stream is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from dataclasses import dataclass
 
 from .core import (BipartiteGraph, EdgeFamily, matching_number,
                    rainbow_matching_max)
+from .generators import random_family
 from .rng import SplitMix64
 
 TARGETS = ("c4.1", "c4.3")
@@ -83,18 +82,6 @@ def _check_c43(fam: EdgeFamily, k: int) -> tuple[bool, int | None]:
     return True, size
 
 
-def _random_family(graph: BipartiteGraph, members: int, rng: SplitMix64,
-                   density_permille: int = 600) -> EdgeFamily:
-    edges = sorted(graph.edges)
-    sets = []
-    for _ in range(members):
-        chosen = {e for e in edges if rng.chance(density_permille, 1000)}
-        if not chosen:
-            chosen = {rng.choice(edges)}
-        sets.append(frozenset(chosen))
-    return EdgeFamily(graph, tuple(sets))
-
-
 def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
                       budget: int = 100_000, seed: int = 0,
                       exhaustive: bool = False) -> SearchResult:
@@ -139,7 +126,7 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     rng = SplitMix64(seed)
     for _ in range(budget):
         instances += 1
-        fam = _random_family(graph, members, rng)
+        fam = random_family(graph, members, rng, permille=600)
         ok, size = check(fam, k)
         if not ok:
             continue

@@ -21,8 +21,8 @@ from .core import (BipartiteGraph, EdgeFamily, RainbowMatching,
 from .network import (RectifyCycle, RepresentationClash, alternating_from_edges,
                       augment, build_network, path_to_alternating,
                       rectify_double_representation)
-from .paths import exhaustive_rainbow_path
-from .regiment import find_regimentation
+from .dichotomy import TheoremViolation, path_or_certificate
+from .paths import RainbowStPath
 
 MODES = ("constructive", "oracle", "hybrid")
 
@@ -121,18 +121,17 @@ def _constructive(g: BipartiteGraph, fam: EdgeFamily, k: int, n: int,
         if steps > budget:
             raise ConstructiveStall(f"iteration budget {budget} exhausted")
         net, nf = build_network(g, fam, rm)
-        found = exhaustive_rainbow_path(net, nf, bound=max(8, len(net.inner)))
-        if found is not None:
+        found = path_or_certificate(net, nf)
+        if isinstance(found, RainbowStPath):
             nxt = _augment_via_path(found, nf, rm, trail)
         else:
             if len(nf) != len(net.inner) + k - 1:
                 raise ConstructiveStall(
                     "no rainbow path although the family exceeds the critical size")
-            certificate = find_regimentation(net, nf, bound=max(6, len(net.inner)))
-            if certificate is None:
+            if isinstance(found, TheoremViolation):
                 raise ConstructiveStall(
                     "neither rainbow path nor regimentation certificate")
-            nxt = _regimented_step(g, fam, n, rm, net, nf, certificate, trail)
+            nxt = _regimented_step(g, fam, n, rm, net, nf, found, trail)
         if len(nxt) not in (len(rm), len(rm) + 1):
             raise ConstructiveStall("a step broke the monotone size invariant")
         if not is_valid_rainbow(fam, nxt):
@@ -218,6 +217,8 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
     owner_id = nf.origin[owner_pos - 1]
     p_edge, q_edge = pq
     sp = represented_by[p_edge]
+    run = list(back_path.vertices[lo:hi + 1])
+    run_edges = [(run[i][0], run[i + 1][1]) for i in range(len(run) - 1)]
 
     union_ids = sorted(set(ie_ids) | {sp})
     big = max_matching(g, fam.union(union_ids))
@@ -241,8 +242,6 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
             raise ConstructiveStall("union matching edge escaped its members")
         # exchange the certificate-path run between the backward arc's ends,
         # freeing sp's edge so ax can represent sp
-        run = list(back_path.vertices[lo:hi + 1])
-        run_edges = [(run[i][0], run[i + 1][1]) for i in range(len(run) - 1)]
         pool = _certificate_pool(reg, nf, back_index)
         if len(run_edges) > len(pool):
             raise ConstructiveStall("certificate lacks members for the exchange run")
@@ -290,8 +289,6 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
                      "members": [sp] + walk_ids, "size": len(result)})
         return result
     except RepresentationClash as clash:
-        run = list(back_path.vertices[lo:hi + 1])
-        run_edges = [(run[i][0], run[i + 1][1]) for i in range(len(run) - 1)]
         pool = [i for i in _certificate_pool(reg, nf, back_index)
                 if i not in set(walk_ids)]
         if len(run_edges) > len(pool):

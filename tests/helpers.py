@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 
-from rainbowmatch import BipartiteGraph, EdgeFamily, Network, NetworkFamily
+from rainbowmatch import (BipartiteGraph, EdgeFamily, Network, NetworkFamily,
+                          Regimentation, StPath)
 
 
 def is_matching(edges) -> bool:
@@ -77,3 +78,45 @@ def all_arcs_over(inner) -> list:
     verts = ["s", *inner, "t"]
     return [(u, v) for u in verts for v in verts
             if u != v and u != "t" and v != "s"]
+
+
+def _ordered_partitions(items: tuple):
+    """Partitions of items into ordered blocks: the block holding the
+    earliest remaining item comes first, by ascending size then
+    lexicographic content, then every ordering of the block, then the
+    rest recursively."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(range(len(rest)), r):
+            block = (first,) + tuple(rest[i] for i in extra)
+            leftover = tuple(rest[i] for i in range(len(rest)) if i not in extra)
+            for ordering in itertools.permutations(block):
+                for tail in _ordered_partitions(leftover):
+                    yield (ordering,) + tail
+
+
+def brute_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None:
+    """First certificate in a fixed search order, or None: every partition
+    of the inner vertices into ordered blocks (each block a path), then
+    every choice of c - 1 distinct members per c-arc path among those
+    containing it.  Unlike the package's build, this finds a certificate
+    whenever one exists, rainbow path or not."""
+    if not net.inner:
+        return Regimentation((StPath((net.source, net.target)),), {})
+    members = range(1, len(nf) + 1)
+    for system in _ordered_partitions(net.inner):
+        paths = [StPath((net.source, *block, net.target)) for block in system]
+        pools = [[m for m in members if set(q.arcs) <= nf.member(m)]
+                 for q in paths]
+        choices = [itertools.combinations(pool, len(q.arcs) - 1)
+                   for q, pool in zip(paths, pools)]
+        for picked in itertools.product(*choices):
+            flat = [m for combo in picked for m in combo]
+            if len(set(flat)) == len(flat):
+                return Regimentation(tuple(paths),
+                                     {m: j for j, combo in enumerate(picked)
+                                      for m in combo})
+    return None

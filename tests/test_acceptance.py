@@ -154,7 +154,9 @@ def test_criterion_2_main_theorem_exhaustive():
             continue
         passing += 1
         assert rainbow_matching_max(fam)[0] >= 2, combo
-        out = solve_main(g, fam, 2, 2, mode="hybrid")
+        trail = []
+        out = solve_main(g, fam, 2, 2, mode="hybrid", trail=trail)
+        assert not [e for e in trail if e["op"] == "fallback"], combo
         assert isinstance(out, RainbowMatching), combo
         assert is_valid_rainbow(fam, out, size=2), combo
     report(2, families == 680 and passing > 0,
@@ -177,7 +179,10 @@ def test_criterion_3_main_theorem_randomized():
                 if fam is None:
                     continue
                 collected += 1
-                out = solve_main(g, fam, k, n, mode="hybrid")
+                trail = []
+                out = solve_main(g, fam, k, n, mode="hybrid", trail=trail)
+                assert not [e for e in trail if e["op"] == "fallback"], \
+                    (n, k, seed)
                 assert isinstance(out, RainbowMatching), (n, k, seed)
                 assert is_valid_rainbow(fam, out, size=n), (n, k, seed)
                 solved += 1
@@ -246,11 +251,13 @@ def test_criterion_8_structure_lemmas(dichotomy_sweep):
         assert rep.hypothesis_met
         assert rep.counting_ok, (nf.sets,)
         assert rep.backward_ok, (nf.sets,)
+        assert rep.only_path_ok, (nf.sets,)
         assert rep.essential_iff_path_ok, (nf.sets,)
         checked += 1
     report(8, checked == len(certificates) and checked > 0,
-           f"counting, backward-containment, and essential-iff-path checks "
-           f"hold on all {checked} certificates from criterion 4")
+           f"counting, backward-containment, only-path, and "
+           f"essential-iff-path checks hold on all {checked} certificates "
+           "from criterion 4")
 
 
 def test_criterion_9_conjecture_harness():

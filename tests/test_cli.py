@@ -65,6 +65,33 @@ def test_env_seed_override(capsys, monkeypatch):
     assert overridden != base
 
 
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_env_seed_must_be_an_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("RAINBOW_SEED", value)
+    code, out, err = run_cli(capsys, "gen", "--family", "drisko", "--n", "2")
+    assert code == 64
+    assert out == ""
+    assert "RAINBOW_SEED" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--conjecture", "c4.1", "--k", "0"),
+    ("gen", "--family", "sharpness", "--n", "1", "--k", "2"),
+    ("gen", "--family", "drisko", "--n", "0"),
+])
+def test_out_of_range_parameters_exit_65(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert "parameter mismatch" in err
+
+
+def test_gen_missing_flag_exits_64(capsys):
+    code, _, err = run_cli(capsys, "gen", "--family", "sharpness", "--n", "3")
+    assert code == 64
+    assert "needs --n and --k" in err
+
+
 def test_solve_paths_and_exit_codes(tmp_path, capsys, sharp22, drisko2):
     # sharpness file has 2 members, but (n=2, k=2) requires 3
     code, _, err = run_cli(capsys, "solve", "--input", str(sharp22),

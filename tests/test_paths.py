@@ -132,6 +132,17 @@ def test_dichotomy_zero_inner():
     assert isinstance(out, RainbowStPath)
 
 
+def test_dichotomy_past_eight_inner_vertices():
+    # nine copies of a ten-arc spine: no rainbow path, one certificate
+    inner = tuple(f"v{i}" for i in range(9))
+    spine = StPath(("s", *inner, "t"))
+    nf = abstract_family(inner, [set(spine.arcs)] * 9)
+    out = dichotomy(nf.network, nf, 1)
+    assert isinstance(out, Regimentation)
+    assert out.paths == (spine,)
+    assert sorted(out.assignment) == list(range(1, 10))
+
+
 def _family_space(inner, member_count, rng, trials, density=0.45):
     pool = all_arcs_over(inner)
     for _ in range(trials):

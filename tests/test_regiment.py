@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from rainbowmatch import (BoundExceeded, Network,
-                          Regimentation, StPath, backward_arcs,
+from rainbowmatch import (Network, Regimentation, StPath, backward_arcs,
                           check_exchange_lemma, check_structure_lemmas,
                           exhaustive_rainbow_path, find_regimentation,
                           st_paths, useless_arcs, verify_regimentation)
 
-from .helpers import abstract_family, all_arcs_over
+from .helpers import abstract_family, all_arcs_over, brute_regimentation
 
 
 def test_backward_arcs_examples():
@@ -85,9 +84,10 @@ def test_find_regimentation_examples():
                                full_arcs=all_arcs_over(("u", "v")))
     assert find_regimentation(hopeless.network, hopeless) is None
 
+    # a rainbow path exists here, so only the exhaustive oracle certifies
     twins = abstract_family(("v",),
                             [{("s", "v"), ("v", "t")}, {("s", "v"), ("v", "t")}])
-    found = find_regimentation(twins.network, twins)
+    found = brute_regimentation(twins.network, twins)
     assert found is not None
     assert len(found.assignment) == 1  # one essential, one inessential
     assert verify_regimentation(twins.network, twins, found) is None
@@ -100,13 +100,6 @@ def test_find_regimentation_zero_inner():
     assert found.paths == (StPath(("s", "t")),)
     assert found.assignment == {}
     assert verify_regimentation(nf.network, nf, found) is None
-
-
-def test_find_regimentation_bound():
-    inner = tuple(f"v{i}" for i in range(7))
-    nf = abstract_family(inner, [set()])
-    with pytest.raises(BoundExceeded):
-        find_regimentation(nf.network, nf)
 
 
 def test_found_certificates_always_verify_and_count():
@@ -123,6 +116,53 @@ def test_found_certificates_always_verify_and_count():
         assert verify_regimentation(nf.network, nf, found) is None
         # counting identity, an arithmetic consequence of (1) and (3)
         assert len(found.assignment) == len(inner)
+
+
+def _planted_family(rng, inner):
+    """Members forced into a random regimentation: each c-arc path of a
+    random ordered partition of inner gets c - 1 members holding it plus
+    some of its backward arcs; a few inessential members hold backward
+    arcs only."""
+    order = list(inner)
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, len(order) - 1)))
+    blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    net = Network(inner=inner, arcs=frozenset(all_arcs_over(inner)))
+    members = []
+    back = []
+    for block in blocks:
+        q = StPath(("s", *block, "t"))
+        behind = sorted(backward_arcs(net, q))
+        back += behind
+        for _ in range(len(q.arcs) - 1):
+            members.append(set(q.arcs) | {a for a in behind if rng.random() < 0.3})
+    for _ in range(rng.randint(0, 2)):
+        members.append({a for a in back if rng.random() < 0.4})
+    rng.shuffle(members)
+    return members
+
+
+def test_find_regimentation_matches_exhaustive_oracle():
+    # without a rainbow path, the built certificate is the first one the
+    # exhaustive partition search finds, or both find none
+    rng = random.Random(2003)
+    compared = certified = 0
+    for trial in range(1200):
+        inner = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        pool = all_arcs_over(inner)
+        if trial % 2:
+            members = _planted_family(rng, inner)
+        else:
+            members = [{a for a in pool if rng.random() < 0.3}
+                       for _ in range(rng.randint(1, len(inner) + 2))]
+        nf = abstract_family(inner, members, full_arcs=pool)
+        if exhaustive_rainbow_path(nf.network, nf) is not None:
+            continue
+        found = find_regimentation(nf.network, nf)
+        assert found == brute_regimentation(nf.network, nf), nf.sets
+        compared += 1
+        certified += found is not None
+    assert compared >= 500 and certified >= 200
 
 
 def test_structure_lemmas_two_inner_instance():

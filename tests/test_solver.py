@@ -9,7 +9,7 @@ from rainbowmatch import (BipartiteGraph, ConstructiveStall, EdgeFamily,
 from rainbowmatch.generators import random_cooperative_family, sharpness_family
 from rainbowmatch.solver import _regimented_step
 
-from .helpers import family_on
+from .helpers import brute_regimentation, family_on
 
 K22 = BipartiteGraph.complete(2)
 K33 = BipartiteGraph.complete(3)
@@ -167,7 +167,7 @@ def test_regimented_step_direct_branch():
         {(2, 1), (3, 3)}])))
     rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
     net, nf = build_network(K33, fam, rm)
-    reg = find_regimentation(net, nf)
+    reg = brute_regimentation(net, nf)
     assert reg is not None
     trail = []
     out = _regimented_step(K33, fam, 3, rm, net, nf, reg, trail)
