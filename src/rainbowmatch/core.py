@@ -7,7 +7,6 @@ every purpose (rainbow choices, union conditions, certificates).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -148,12 +147,100 @@ def is_valid_rainbow(fam: EdgeFamily, rm: RainbowMatching,
     return True
 
 
+def _rows(g: BipartiteGraph, edges: Iterable[Edge]) -> list[int]:
+    """Bitmask adjacency: bit b of rows[a] is the edge (a, b); rows[0] is 0."""
+    rows = [0] * (g.left_size + 1)
+    for a, b in edges:
+        rows[a] |= 1 << b
+    return rows
+
+
+def _kuhn(rows: list[int], owner: list[int], matched: int, goal: int) -> int:
+    """Grow a matching inside rows by Kuhn augmentation; the package's one
+    matching kernel.
+
+    owner[b] is the left vertex matched to right vertex b (0 when free) and
+    is updated in place; matched is the mask of matched left vertices, and
+    the grown mask is returned.  Free left vertices are tried in ascending
+    order, right vertices lowest bit first, with one visited mask per
+    top-level augment; the scan stops once goal left vertices are matched.
+    Started from any matching, one such pass leaves a maximum one.
+    """
+    visited = 0
+
+    def augment(a: int) -> bool:
+        nonlocal visited
+        row = rows[a]
+        avail = row & ~visited
+        while avail:
+            bit = avail & -avail
+            visited |= bit
+            b = bit.bit_length() - 1
+            if not owner[b] or augment(owner[b]):
+                owner[b] = a
+                return True
+            avail = row & ~visited
+        return False
+
+    size = matched.bit_count()
+    for a in range(1, len(rows)):
+        if size >= goal:
+            break
+        if rows[a] and not matched >> a & 1:
+            visited = 0
+            if augment(a):
+                matched |= 1 << a
+                size += 1
+    return matched
+
+
+def _first_short_union(fam: EdgeFamily, floors: tuple[int, ...]) -> tuple[int, ...] | None:
+    """First index set K with nu(union K) < floors[|K| - 1], or None.
+
+    Walks the index sets of at most len(floors) members depth-first in
+    lexicographic order.  Each prefix's union and maximum matching are
+    carried down the walk: a matching of a prefix union is a matching of
+    every extension, so each step only augments.  floors must be
+    nondecreasing; zero floors are never checked, and prefixes too late to
+    reach the first positive floor are not walked.  A prefix whose union
+    already reaches the last floor is not extended, since nu only grows
+    under union.
+    """
+    first = next((d for d, f in enumerate(floors) if f > 0), None)
+    if first is None:
+        return None
+    g = fam.graph
+    rows = [_rows(g, s) for s in fam.sets]
+    m, depth_limit, goal = len(rows), len(floors), floors[-1]
+    picked: list[int] = []
+
+    def walk(start: int, depth: int, union: list[int], owner: list[int],
+             matched: int) -> tuple[int, ...] | None:
+        for i in range(start, m - max(0, first - depth)):
+            grown = [x | y for x, y in zip(union, rows[i])]
+            mates = owner.copy()
+            now = _kuhn(grown, mates, matched, goal)
+            picked.append(i + 1)
+            size = now.bit_count()
+            if size < floors[depth]:
+                return tuple(picked)
+            if size < goal and depth + 1 < depth_limit:
+                found = walk(i + 1, depth + 1, grown, mates, now)
+                if found is not None:
+                    return found
+            picked.pop()
+        return None
+
+    return walk(0, 0, [0] * (g.left_size + 1), [0] * (g.right_size + 1), 0)
+
+
 def max_matching(g: BipartiteGraph,
                  edge_subset: Iterable[Edge] | None = None) -> Matching:
     """Maximum-cardinality matching inside edge_subset (default: all edges).
 
-    Augmenting-path search scanning A-vertices in ascending order, so the
-    result is deterministic for a fixed input.
+    Runs the Kuhn kernel from the empty matching, scanning A-vertices in
+    ascending order and B-vertices lowest first, so the result is
+    deterministic for a fixed input.
     """
     if edge_subset is None:
         edges = g.edges
@@ -161,24 +248,9 @@ def max_matching(g: BipartiteGraph,
         edges = frozenset(_as_edge(e) for e in edge_subset)
         if not edges <= g.edges:
             raise ValueError("edge_subset must lie inside the graph")
-    adj: dict[int, list[int]] = {}
-    for a, b in sorted(edges):
-        adj.setdefault(a, []).append(b)
-    match_of_b: dict[int, int] = {}
-
-    def try_augment(a: int, banned: set[int]) -> bool:
-        for b in adj.get(a, ()):
-            if b in banned:
-                continue
-            banned.add(b)
-            if b not in match_of_b or try_augment(match_of_b[b], banned):
-                match_of_b[b] = a
-                return True
-        return False
-
-    for a in sorted(adj):
-        try_augment(a, set())
-    return Matching(frozenset((a, b) for b, a in match_of_b.items()))
+    owner = [0] * (g.right_size + 1)
+    _kuhn(_rows(g, edges), owner, 0, g.left_size)
+    return Matching(frozenset((a, b) for b, a in enumerate(owner) if a))
 
 
 def matching_number(g: BipartiteGraph,
@@ -237,14 +309,12 @@ def cooperative_condition(fam: EdgeFamily, k: int, n: int) -> tuple[int, ...] | 
     """Does every k-member union contain a matching of size n?
 
     Returns None on success, otherwise the lexicographically least failing
-    index set (1-based, ascending).
+    index set (1-based, ascending).  Runs the shared prefix-union walk on
+    the bitmask kernel.
     """
     m = len(fam)
     if not 1 <= k <= m:
         raise ValueError(f"k must satisfy 1 <= k <= {m}")
     if n <= 0:
         return None
-    for picked in itertools.combinations(range(1, m + 1), k):
-        if matching_number(fam.graph, fam.union(picked)) < n:
-            return picked
-    return None
+    return _first_short_union(fam, (0,) * (k - 1) + (n,))

@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (BipartiteGraph, EdgeFamily, matching_number,
-                   rainbow_matching_max)
+from .core import (BipartiteGraph, EdgeFamily, _first_short_union,
+                   matching_number, rainbow_matching_max)
 from .generators import random_family
 from .rng import SplitMix64
 
@@ -45,14 +45,13 @@ class SearchResult:
 
 
 def graded_union_condition(fam: EdgeFamily, k: int) -> bool:
-    """Every nonempty subfamily K must satisfy nu(union K) >= min(|K|, k)."""
-    m = len(fam)
-    for size in range(1, m + 1):
-        floor = min(size, k)
-        for picked in itertools.combinations(range(1, m + 1), size):
-            if matching_number(fam.graph, fam.union(picked)) < floor:
-                return False
-    return True
+    """Every nonempty subfamily K must satisfy nu(union K) >= min(|K|, k).
+
+    Only subfamilies of at most k members are walked: a larger K contains
+    a k-subset, whose union's matching number already bounds nu(union K)
+    from below by k.
+    """
+    return _first_short_union(fam, tuple(range(1, min(k, len(fam)) + 1))) is None
 
 
 def doubled_family(fam: EdgeFamily) -> EdgeFamily:

@@ -40,6 +40,13 @@ def dumps_canonical(payload: Any) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _strict_int(raw: Any, what: str) -> int:
+    """raw itself when it is a JSON integer; floats, booleans and strings are refused."""
+    if type(raw) is not int:
+        raise ParseError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
 # -- bipartite instances ----------------------------------------------------
 
 def family_to_json(fam: EdgeFamily) -> dict:
@@ -54,11 +61,13 @@ def family_from_json(payload: Any) -> EdgeFamily:
     if not isinstance(payload, dict):
         raise ParseError("instance must be a JSON object")
     try:
-        left = int(payload["left"])
-        right = int(payload["right"])
+        left = payload["left"]
+        right = payload["right"]
         raw_sets = payload["sets"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"instance is missing a field: {exc}") from exc
+    left = _strict_int(left, "left")
+    right = _strict_int(right, "right")
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ParseError("instance needs a nonempty list of sets")
     sets = []
@@ -69,7 +78,8 @@ def family_from_json(payload: Any) -> EdgeFamily:
         for e in raw:
             if not (isinstance(e, list) and len(e) == 2):
                 raise ParseError(f"set {idx} holds a malformed edge: {e!r}")
-            edges.add((int(e[0]), int(e[1])))
+            edges.add((_strict_int(e[0], f"set {idx} edge endpoint"),
+                       _strict_int(e[1], f"set {idx} edge endpoint")))
         sets.append(frozenset(edges))
     try:
         graph = BipartiteGraph(
@@ -102,7 +112,8 @@ def vertex_from_json(raw):
     if isinstance(raw, list):
         if len(raw) != 2:
             raise ParseError(f"malformed vertex: {raw!r}")
-        return (int(raw[0]), int(raw[1]))
+        return (_strict_int(raw[0], "vertex index"),
+                _strict_int(raw[1], "vertex index"))
     if isinstance(raw, str):
         return raw
     raise ParseError(f"malformed vertex: {raw!r}")
@@ -111,9 +122,13 @@ def vertex_from_json(raw):
 def network_family_from_json(payload: Any) -> NetworkFamily:
     if not isinstance(payload, dict) or "inner" not in payload or "sets" not in payload:
         raise ParseError("network instance needs 'inner' and 'sets'")
+    if not isinstance(payload["inner"], list) or not isinstance(payload["sets"], list):
+        raise ParseError("network instance 'inner' and 'sets' must be lists")
     inner = tuple(vertex_from_json(v) for v in payload["inner"])
     sets = []
     for idx, raw in enumerate(payload["sets"], start=1):
+        if not isinstance(raw, list):
+            raise ParseError(f"set {idx} must be a list of arcs")
         arcs = set()
         for arc in raw:
             if not (isinstance(arc, list) and len(arc) == 2):
@@ -160,13 +175,15 @@ def matching_certificate(rm: RainbowMatching, trail: list | None = None) -> dict
 
 
 def matching_from_certificate(payload: Any) -> RainbowMatching:
-    if not isinstance(payload, dict) or "assignment" not in payload:
-        raise CertificateError("matching certificate needs 'assignment'")
+    if not isinstance(payload, dict) or not isinstance(payload.get("assignment"), list):
+        raise CertificateError("matching certificate needs an 'assignment' list")
     assignment: dict[int, Edge] = {}
     for entry in payload["assignment"]:
         try:
-            assignment[int(entry["set"])] = (int(entry["edge"][0]),
-                                             int(entry["edge"][1]))
+            edge = entry["edge"]
+            assignment[_strict_int(entry["set"], "set")] = (
+                _strict_int(edge[0], "edge endpoint"),
+                _strict_int(edge[1], "edge endpoint"))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CertificateError(f"malformed assignment entry: {entry!r}") from exc
     try:
@@ -186,10 +203,14 @@ def regimentation_certificate(r: Regimentation) -> dict:
 def regimentation_from_certificate(payload: Any) -> Regimentation:
     if not isinstance(payload, dict) or "paths" not in payload or "assignment" not in payload:
         raise CertificateError("regimentation certificate needs 'paths' and 'assignment'")
+    if not isinstance(payload["paths"], list) or not isinstance(payload["assignment"], dict):
+        raise CertificateError("regimentation certificate needs a list of 'paths' "
+                               "and an object as 'assignment'")
     try:
         paths = tuple(StPath(tuple(vertex_from_json(v) for v in raw))
                       for raw in payload["paths"])
-        assignment = {int(i): int(pos) for i, pos in payload["assignment"].items()}
+        assignment = {int(i): _strict_int(pos, "path index")
+                      for i, pos in payload["assignment"].items()}
     except (ParseError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
     return Regimentation(paths, assignment)

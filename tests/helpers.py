@@ -33,6 +33,30 @@ def brute_matching_number(edges) -> int:
     return best
 
 
+def dict_kuhn_matching(edges) -> frozenset:
+    """Reference for max_matching's exact edge set: Kuhn's augmenting paths
+    on dict adjacency, A-vertices ascending, B-neighbours ascending, a
+    fresh banned set per top-level augment."""
+    adj: dict = {}
+    for a, b in sorted(edges):
+        adj.setdefault(a, []).append(b)
+    match_of_b: dict = {}
+
+    def try_augment(a, banned) -> bool:
+        for b in adj[a]:
+            if b in banned:
+                continue
+            banned.add(b)
+            if b not in match_of_b or try_augment(match_of_b[b], banned):
+                match_of_b[b] = a
+                return True
+        return False
+
+    for a in sorted(adj):
+        try_augment(a, set())
+    return frozenset((a, b) for b, a in match_of_b.items())
+
+
 def brute_rainbow_number(fam: EdgeFamily) -> int:
     """Largest rainbow matching by enumerating every partial choice."""
     m = len(fam)

@@ -251,3 +251,43 @@ def test_usage_errors_exit_64():
         [sys.executable, "-m", "rainbowmatch", "frobnicate"],
         capture_output=True, text=True)
     assert proc.returncode == 64
+
+
+def _run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "rainbowmatch", *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("instance", [
+    {"left": 2, "right": 2, "sets": [[[1.9, 1]], [[True, 2]], [[2, 2]]]},
+    {"left": 2.7, "right": 2, "sets": [[[1, 1]], [[2, 2]], [[1, 2]]]},
+])
+def test_solve_refuses_non_integer_vertices(tmp_path, instance):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    proc = _run_module("solve", "--input", str(path), "--n", "2", "--k", "2")
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("network, certificate, expected", [
+    ({"inner": ["v"], "sets": None},
+     {"paths": [["s", "v", "t"]], "assignment": {"1": 0}}, 64),
+    ({"inner": "v", "sets": [[["s", "v"], ["v", "t"]]]},
+     {"paths": [["s", "v", "t"]], "assignment": {"1": 0}}, 64),
+    ({"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]},
+     {"paths": [["s", "v", "t"]], "assignment": [["1", 0]]}, 66),
+])
+def test_certify_refuses_malformed_shapes(tmp_path, network, certificate,
+                                          expected):
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(network))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"schema": "rainbow/1", **certificate}))
+    proc = _run_module("certify", "--input", str(netfile),
+                       "--regimentation", str(cert))
+    assert proc.returncode == expected
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr

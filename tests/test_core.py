@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from rainbowmatch import (BipartiteGraph, EdgeFamily, Matching,
                           is_valid_rainbow, matching_number, max_matching,
                           rainbow_matching_max)
 
-from .helpers import brute_matching_number, brute_rainbow_number, family_on
+from .helpers import (brute_matching_number, brute_rainbow_number,
+                      dict_kuhn_matching, family_on)
 
 K22 = BipartiteGraph.complete(2)
 K33 = BipartiteGraph.complete(3)
@@ -73,6 +75,33 @@ def test_max_matching_deterministic():
 def test_max_matching_agrees_with_brute_force(edges):
     g = BipartiteGraph(4, 4, frozenset(edges))
     assert len(max_matching(g, edges)) == brute_matching_number(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(4, 4), (3, 5)]), st.randoms(use_true_random=False))
+def test_max_matching_edge_set_matches_reference(shape, rng):
+    # the regimented step picks min() of this edge set, so the exact set is
+    # part of the solver's determinism, not just its size
+    g = BipartiteGraph.complete(*shape)
+    density = rng.random()
+    edges = frozenset(e for e in sorted(g.edges) if rng.random() < density)
+    assert max_matching(g, edges).edges == dict_kuhn_matching(edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5),
+       st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=25))
+def test_matching_number_agrees_with_hopcroft_karp(left, right, edges):
+    nx = pytest.importorskip("networkx")
+    edges = {(a, b) for a, b in edges if a <= left and b <= right}
+    g = BipartiteGraph(left, right, frozenset(edges))
+    top = [("a", a) for a in range(1, left + 1)]
+    graph = nx.Graph()
+    graph.add_nodes_from(top)
+    graph.add_nodes_from(("b", b) for b in range(1, right + 1))
+    graph.add_edges_from((("a", a), ("b", b)) for a, b in edges)
+    mate = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=top)
+    assert matching_number(g) == len(mate) // 2
 
 
 def test_rainbow_oracle_examples():
@@ -144,3 +173,42 @@ def test_cooperative_condition_full_k_reduces_to_union():
         verdict = cooperative_condition(fam, len(fam), 2)
         expected = matching_number(K22, fam.union()) >= 2
         assert (verdict is None) == expected
+
+
+def naive_cooperative_condition(fam, k, n):
+    for picked in itertools.combinations(range(1, len(fam) + 1), k):
+        if brute_matching_number(fam.union(picked)) < n:
+            return picked
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cooperative_condition_matches_naive_oracle(data):
+    sets = data.draw(st.lists(
+        st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4),
+        min_size=1, max_size=6))
+    fam = EdgeFamily(K33, tuple(frozenset(s) for s in sets))
+    m = len(fam)
+    k = data.draw(st.one_of(st.just(1), st.just(m), st.integers(1, m)))
+    n = data.draw(st.integers(0, 3))
+    assert cooperative_condition(fam, k, n) == naive_cooperative_condition(fam, k, n)
+
+
+def test_cooperative_condition_oracle_sample_has_failures():
+    # the property above must see both verdicts, and failures past the
+    # first index set, for the lexicographic order to be checked
+    rng = random.Random(5)
+    edges = sorted(K33.edges)
+    verdicts = []
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        fam = EdgeFamily(K33, tuple(
+            frozenset(rng.sample(edges, rng.randint(0, 3))) for _ in range(m)))
+        k, n = rng.randint(1, m), rng.randint(1, 3)
+        verdict = cooperative_condition(fam, k, n)
+        assert verdict == naive_cooperative_condition(fam, k, n)
+        verdicts.append(verdict)
+    assert None in verdicts
+    assert any(v is not None and v != tuple(range(1, len(v) + 1))
+               for v in verdicts)

@@ -1,11 +1,14 @@
+import itertools
+import random
+
 import pytest
 
-from rainbowmatch import (BipartiteGraph, matching_number,
+from rainbowmatch import (BipartiteGraph, EdgeFamily, matching_number,
                           rainbow_matching_max)
 from rainbowmatch.search import (conjecture_search, doubled_family,
                                  graded_union_condition)
 
-from .helpers import family_on
+from .helpers import brute_matching_number, family_on
 
 K22 = BipartiteGraph.complete(2)
 
@@ -15,6 +18,30 @@ def test_graded_union_condition():
     assert graded_union_condition(fam, 2)
     weak = family_on(K22, {(1, 1)}, {(1, 1)}, {(1, 2), (2, 1)})
     assert not graded_union_condition(weak, 2)  # the pair {1,2} stays at 1
+
+
+def naive_graded_union_condition(fam, k):
+    """The definition itself: every nonempty subfamily, of every size."""
+    m = len(fam)
+    return all(brute_matching_number(fam.union(picked)) >= min(size, k)
+               for size in range(1, m + 1)
+               for picked in itertools.combinations(range(1, m + 1), size))
+
+
+def test_graded_union_condition_matches_definition():
+    # the walk stops at |K| = k; the oracle checks every size up to m
+    rng = random.Random(13)
+    g = BipartiteGraph.complete(3)
+    edges = sorted(g.edges)
+    verdicts = []
+    for _ in range(400):
+        m, k = rng.randint(1, 6), rng.randint(1, 4)
+        fam = EdgeFamily(g, tuple(
+            frozenset(rng.sample(edges, rng.randint(1, 4))) for _ in range(m)))
+        verdict = graded_union_condition(fam, k)
+        assert verdict == naive_graded_union_condition(fam, k), (fam.sets, k)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_doubled_family_structure():

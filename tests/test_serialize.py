@@ -28,6 +28,9 @@ def test_vertex_codec():
         vertex_from_json([1, 2, 3])
     with pytest.raises(ParseError):
         vertex_from_json(7)
+    for raw in ([1.5, 2], [1, True], [False, 1]):
+        with pytest.raises(ParseError):
+            vertex_from_json(raw)
 
 
 def test_family_round_trip():
@@ -49,6 +52,15 @@ def test_family_parse_errors():
         family_loads(json.dumps({"left": 1, "right": 1, "sets": [[[1, 9]]]}))
     with pytest.raises(ParseError):
         family_loads(json.dumps({"left": 1, "right": 1, "sets": [[[1]]]}))
+    # numbers are never coerced: floats, booleans and strings are refused
+    for edge in ([1.9, 1], [True, 2], [1, 2.0], ["1", 1]):
+        with pytest.raises(ParseError):
+            family_loads(json.dumps({"left": 2, "right": 2, "sets": [[edge]]}))
+    for left in (2.7, True, "2", None):
+        with pytest.raises(ParseError):
+            family_loads(json.dumps({"left": left, "right": 2, "sets": [[[1, 1]]]}))
+    with pytest.raises(ParseError):
+        family_loads(json.dumps({"left": 2, "right": 2.0, "sets": [[[1, 1]]]}))
 
 
 def test_load_instance_dispatch():
@@ -72,6 +84,16 @@ def test_network_family_round_trip():
     assert network_family_to_json(again) == payload
 
 
+def test_network_family_shape_errors():
+    for payload in ({"inner": ["v"], "sets": None},
+                    {"inner": "v", "sets": []},
+                    {"inner": None, "sets": []},
+                    {"inner": ["v"], "sets": [None]},
+                    {"inner": [[1.0, 1]], "sets": []}):
+        with pytest.raises(ParseError):
+            network_family_from_json(payload)
+
+
 def test_matching_certificate_round_trip():
     rm = RainbowMatching({3: (1, 2), 1: (2, 1)})
     payload = matching_certificate(rm, trail=[{"op": "oracle"}])
@@ -85,6 +107,13 @@ def test_matching_certificate_round_trip():
         matching_from_certificate(
             {"assignment": [{"set": 1, "edge": [1, 1]},
                             {"set": 2, "edge": [1, 1]}]})
+    for entry in ({"set": 1, "edge": [1.9, 1]}, {"set": True, "edge": [1, 1]},
+                  {"set": 1, "edge": 7}):
+        with pytest.raises(CertificateError):
+            matching_from_certificate({"assignment": [entry]})
+    for assignment in (None, 5, {"1": [1, 1]}):
+        with pytest.raises(CertificateError):
+            matching_from_certificate({"assignment": assignment})
 
 
 def test_regimentation_certificate_round_trip():
@@ -97,6 +126,11 @@ def test_regimentation_certificate_round_trip():
         regimentation_from_certificate({"paths": [["s"]], "assignment": {}})
     with pytest.raises(CertificateError):
         regimentation_from_certificate({"assignment": {}})
+    for bad in ({"paths": [["s", "t"]], "assignment": [[1, 0]]},
+                {"paths": None, "assignment": {}},
+                {"paths": [["s", [1, 1], "t"]], "assignment": {"2": 0.0}}):
+        with pytest.raises(CertificateError):
+            regimentation_from_certificate(bad)
 
 
 def test_dot_output_is_deterministic():
