@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .network import Network, NetworkFamily, has_st_path
+from .network import Network, NetworkFamily, _mask_has_path
 from .paths import RainbowStPath, exhaustive_rainbow_path
 from .regiment import Regimentation, find_regimentation
 
@@ -64,7 +66,9 @@ def dichotomy(net: Network, nf: NetworkFamily, k: int
     m = len(nf)
     if m != len(net.inner) + k - 1:
         raise ValueError("family size must be inner-count + k - 1")
+    masks = nf.masks
     for picked in itertools.combinations(range(1, m + 1), k):
-        if not has_st_path(nf.union(picked), net.source, net.target):
+        if not _mask_has_path(reduce(or_, (masks[p - 1] for p in picked), 0),
+                              net._size):
             raise UnionPathError(picked)
     return path_or_certificate(net, nf)

@@ -5,13 +5,21 @@ vertices; each non-matching graph edge of a family member turns into an
 arc, and source-target paths correspond to augmenting alternating paths.
 The module also implements the symmetric-difference augmentation, repair
 of a doubly represented candidate, and source-edge contraction.
+
+Inside, vertices are their ranks (source 0, inner vertices 1..r, target
+r + 1) and arc (u, v) is bit rank(u) * |V| + rank(v) of an integer mask,
+so ascending bits run in arc_key order.  A family member is one such
+mask; the tuple and frozenset views are built only where callers ask.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .core import (Edge, BipartiteGraph, EdgeFamily, RainbowMatching,
                    _as_edge, is_valid_rainbow)
@@ -52,7 +60,8 @@ class Network:
 
     No arc enters the source, none leaves the target, and self-loops are
     rejected.  Vertex order (source, inner..., target) fixes the
-    deterministic ranking used by every search in the package.
+    deterministic ranking used by every search in the package, and with
+    it each arc's bit (see the module docstring).
     """
 
     inner: tuple
@@ -81,7 +90,34 @@ class Network:
             if u == self.target:
                 raise ValueError("no arc may leave the target")
         ranks = {v: i for i, v in enumerate((self.source, *inner, self.target))}
-        object.__setattr__(self, "_ranks", ranks)
+        size = len(ranks)
+        self._index(ranks, {(u, v): 1 << (ranks[u] * size + ranks[v])
+                            for u, v in self.arcs})
+
+    def _index(self, ranks: dict, bits: dict) -> None:
+        self.__dict__.update(_ranks=ranks, _size=len(ranks), _bit=bits)
+
+    @classmethod
+    def _from_mask(cls, inner: tuple, mask: int) -> "Network":
+        """The network over inner whose arcs are the set bits of mask.
+
+        The checks are skipped: the caller derives mask from ranks and
+        never sets a bit into the source, out of the target or on the
+        diagonal.
+        """
+        verts = (SOURCE, *inner, TARGET)
+        size = len(verts)
+        bits = {}
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = divmod(low.bit_length() - 1, size)
+            bits[(verts[u], verts[v])] = low
+        net = object.__new__(cls)
+        net.__dict__.update(inner=inner, arcs=frozenset(bits), source=SOURCE,
+                            target=TARGET)
+        net._index({v: i for i, v in enumerate(verts)}, bits)
+        return net
 
     @property
     def vertices(self) -> tuple:
@@ -99,6 +135,62 @@ class Network:
     def sorted_arcs(self, arcs: Iterable | None = None) -> list:
         pool = self.arcs if arcs is None else arcs
         return sorted(pool, key=self.arc_key)
+
+    def _mask_over(self, arcs: Iterable) -> int:
+        """Mask of any arcs between network vertices, network arcs or not."""
+        size = self._size
+        mask = 0
+        for u, v in arcs:
+            mask |= 1 << (self.rank(u) * size + self.rank(v))
+        return mask
+
+    def _arcs_of(self, mask: int) -> frozenset:
+        return frozenset(arc for arc, bit in self._bit.items() if mask & bit)
+
+    def _path(self, ranks: Iterable[int]) -> "StPath":
+        verts = self.vertices
+        return StPath(tuple(verts[i] for i in ranks))
+
+
+@lru_cache(maxsize=32)
+def _powers(size: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(size * size))
+
+
+def _mask_has_path(mask: int, size: int) -> bool:
+    """Whether the arcs of mask join rank 0 to rank size - 1."""
+    row = (1 << size) - 1
+    seen = todo = 1
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        fresh = mask >> ((low.bit_length() - 1) * size) & row & ~seen
+        seen |= fresh
+        todo |= fresh
+    return bool(seen >> (size - 1) & 1)
+
+
+def _rank_paths(mask: int, size: int) -> Iterator[tuple[int, ...]]:
+    """Simple source-target paths over the arcs of mask, as vertex-rank
+    tuples in lexicographic order."""
+    row = (1 << size) - 1
+    target = size - 1
+    trail = [0]
+
+    def walk(u: int, on_trail: int) -> Iterator[tuple[int, ...]]:
+        heads = mask >> (u * size) & row & ~on_trail
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            v = low.bit_length() - 1
+            if v == target:
+                yield (*trail, v)
+            else:
+                trail.append(v)
+                yield from walk(v, on_trail | low)
+                trail.pop()
+
+    yield from walk(0, 1)
 
 
 @dataclass(frozen=True)
@@ -137,10 +229,11 @@ def is_st_path(net: Network, path: StPath, require_arcs: bool = True) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetworkFamily:
     """Ordered multiset of arc sets over a shared network.
 
+    masks holds one arc mask per member; sets is the frozenset view.
     preimages maps (member position, arc) to the graph edges producing the
     arc when the family was built over a matching; origin maps member
     positions back to the originating edge-family indices.  Both stay None
@@ -148,36 +241,92 @@ class NetworkFamily:
     """
 
     network: Network
-    sets: tuple
-    preimages: Mapping | None = None
-    origin: tuple[int, ...] | None = None
+    masks: tuple[int, ...]
+    preimages: Mapping | None
+    origin: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        sets = tuple(frozenset(s) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
-        for idx, s in enumerate(sets, start=1):
-            if not s <= self.network.arcs:
-                raise ValueError(f"member {idx} uses arcs outside the network")
-        if self.origin is not None:
-            origin = tuple(int(i) for i in self.origin)
-            object.__setattr__(self, "origin", origin)
+    def __init__(self, network: Network, sets,
+                 preimages: Mapping | None = None,
+                 origin: tuple[int, ...] | None = None) -> None:
+        sets = tuple(frozenset(s) for s in sets)
+        try:
+            masks = tuple(sum(map(network._bit.__getitem__, s)) for s in sets)
+        except KeyError:
+            idx = next(i for i, s in enumerate(sets, start=1)
+                       if not s <= network.arcs)
+            raise ValueError(f"member {idx} uses arcs outside the network") from None
+        if origin is not None:
+            origin = tuple(int(i) for i in origin)
             if len(origin) != len(sets):
                 raise ValueError("origin must label every member")
-        if self.preimages is not None:
-            object.__setattr__(self, "preimages",
-                               {key: frozenset(v) for key, v in dict(self.preimages).items()})
+        if preimages is not None:
+            preimages = {key: frozenset(v) for key, v in dict(preimages).items()}
+        self._fill(network, masks, preimages, origin, sets)
+
+    def _fill(self, network, masks, preimages, origin, sets) -> None:
+        self.__dict__.update(network=network, masks=masks, preimages=preimages,
+                             origin=origin, _sets=sets)
+
+    @classmethod
+    def _over(cls, network: Network, masks: tuple, preimages: Mapping,
+              origin: tuple) -> "NetworkFamily":
+        """A family given by masks that hold network arcs only."""
+        nf = object.__new__(cls)
+        nf._fill(network, masks, preimages, origin, None)
+        return nf
+
+    @property
+    def sets(self) -> tuple:
+        if self._sets is None:
+            self.__dict__["_sets"] = tuple(self.network._arcs_of(m)
+                                           for m in self.masks)
+        return self._sets
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def member(self, position: int) -> frozenset:
-        if not 1 <= position <= len(self.sets):
-            raise IndexError(f"member position {position} out of range 1..{len(self.sets)}")
+        if not 1 <= position <= len(self.masks):
+            raise IndexError(f"member position {position} out of range 1..{len(self.masks)}")
         return self.sets[position - 1]
 
     def union(self, positions: Iterable[int] | None = None) -> frozenset:
         chosen = self.sets if positions is None else [self.member(p) for p in positions]
         return frozenset().union(*chosen) if chosen else frozenset()
+
+
+class _Preimages(Mapping):
+    """(member position, arc) -> the member's graph edges that map onto the
+    arc, read from the member on lookup; the keys are exactly the set bits
+    of the masks."""
+
+    def __init__(self, net: Network, masks: tuple, members: tuple,
+                 a_row: list, b_rank: list):
+        self._net, self._masks, self._members = net, masks, members
+        self._a_row, self._b_rank = a_row, b_rank
+
+    def __getitem__(self, key) -> frozenset:
+        try:
+            pos, arc = key
+            mask = self._masks[pos - 1] if 1 <= pos <= len(self._masks) else 0
+            bit = self._net._bit.get(arc, 0)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if not mask & bit:
+            raise KeyError(key)
+        index = bit.bit_length() - 1
+        a_row, b_rank = self._a_row, self._b_rank
+        return frozenset(h for h in self._members[pos - 1]
+                         if a_row[h[0]] + b_rank[h[1]] == index)
+
+    def __iter__(self) -> Iterator:
+        for pos, mask in enumerate(self._masks, start=1):
+            for arc, bit in self._net._bit.items():
+                if mask & bit:
+                    yield (pos, arc)
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self._masks)
 
 
 def has_st_path(arcs: Iterable, source=SOURCE, target=TARGET) -> bool:
@@ -203,26 +352,8 @@ def has_st_path(arcs: Iterable, source=SOURCE, target=TARGET) -> bool:
 def st_paths(arcs: Iterable, net: Network) -> Iterator[StPath]:
     """All simple source-target paths using only the given arcs, emitted in
     lexicographic order of the network's vertex ranks."""
-    out: dict = {}
-    for u, v in arcs:
-        out.setdefault(u, []).append(v)
-    for u in out:
-        out[u].sort(key=net.rank)
-    trail = [net.source]
-    on_trail = {net.source}
-
-    def walk(u) -> Iterator[StPath]:
-        for v in out.get(u, ()):
-            if v == net.target:
-                yield StPath(tuple(trail) + (v,))
-            elif v not in on_trail:
-                trail.append(v)
-                on_trail.add(v)
-                yield from walk(v)
-                trail.pop()
-                on_trail.discard(v)
-
-    yield from walk(net.source)
+    for ranks in _rank_paths(net._mask_over(arcs), net._size):
+        yield net._path(ranks)
 
 
 def build_network(g: BipartiteGraph, fam: EdgeFamily,
@@ -233,33 +364,38 @@ def build_network(g: BipartiteGraph, fam: EdgeFamily,
     edge of an unrepresented member becomes an arc: matched endpoints point
     at their matching edges, an unmatched A-endpoint contributes the source,
     an unmatched B-endpoint the target; (source, target) encodes a directly
-    addable edge.  All graph-edge witnesses are recorded per (member, arc).
+    addable edge.  The graph-edge witnesses of a (member, arc) pair are
+    read from the member on lookup in preimages.
     """
     if g != fam.graph:
         raise ValueError("graph does not match the family's ambient graph")
     if not is_valid_rainbow(fam, rm):
         raise ValueError("not a valid rainbow matching of the family")
-    matched = rm.matching().edges
-    a_owner = {e[0]: e for e in matched}
-    b_owner = {e[1]: e for e in matched}
-    inner = tuple(sorted(matched))
+    inner = tuple(sorted(rm.matching().edges))
+    size = len(inner) + 2
+    # edge (a, b) becomes bit a_row[a] + b_rank[b]: unmatched A-vertices
+    # sit at the source's row, unmatched B-vertices at the target's column
+    a_row = [0] * (g.left_size + 1)
+    b_rank = [size - 1] * (g.right_size + 1)
+    for rank, (a, b) in enumerate(inner, start=1):
+        a_row[a] = rank * size
+        b_rank[b] = rank
+    powers = _powers(size)
+    # exactly the matching edges land on the diagonal, as self-loops
+    off_diagonal = ~sum(powers[rank * (size + 1)] for rank in range(1, size - 1))
     unrepresented = tuple(i for i in range(1, len(fam) + 1) if i not in rm.assignment)
-    sets = []
-    preimages: dict = {}
-    for pos, i in enumerate(unrepresented, start=1):
-        arcs = set()
-        for h in sorted(fam.member(i)):
-            if h in matched:
-                continue
-            arc = (a_owner.get(h[0], SOURCE), b_owner.get(h[1], TARGET))
-            arcs.add(arc)
-            preimages.setdefault((pos, arc), set()).add(h)
-        sets.append(frozenset(arcs))
-    all_arcs = frozenset().union(*sets) if sets else frozenset()
-    net = Network(inner=inner, arcs=all_arcs)
-    nf = NetworkFamily(net, tuple(sets),
-                       preimages={key: frozenset(v) for key, v in preimages.items()},
-                       origin=unrepresented)
+    members = tuple(fam.member(i) for i in unrepresented)
+    masks = []
+    for s in members:
+        mask = 0
+        for a, b in s:
+            mask |= powers[a_row[a] + b_rank[b]]
+        masks.append(mask & off_diagonal)
+    masks = tuple(masks)
+    net = Network._from_mask(inner, reduce(or_, masks, 0))
+    nf = NetworkFamily._over(net, masks,
+                             _Preimages(net, masks, members, a_row, b_rank),
+                             unrepresented)
     return net, nf
 
 

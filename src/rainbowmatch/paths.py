@@ -9,10 +9,12 @@ rainbow path exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Mapping
 
 from .network import (BoundExceeded, Network, NetworkFamily, StPath,
-                      is_st_path, st_paths)
+                      _rank_paths, is_st_path)
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,9 @@ def verify_rainbow_path(nf: NetworkFamily, rp: RainbowStPath) -> bool:
     members = list(rp.representation.values())
     if len(set(members)) != len(members):
         return False
+    bit = nf.network._bit
     for j, m in rp.representation.items():
-        if not 1 <= m <= len(nf) or arcs[j] not in nf.member(m):
+        if not 1 <= m <= len(nf) or not nf.masks[m - 1] & bit.get(arcs[j], 0):
             return False
     return True
 
@@ -69,37 +72,38 @@ def greedy_rainbow_tree(net: Network, nf: NetworkFamily) -> RainbowStPath | Gree
     joins the tree, returning the source-target path inside the tree with
     its representation, or reports the stuck tree.
     """
-    parent: dict = {}
-    tree = {net.source}
-    used: set[int] = set()
-    while net.target not in tree:
-        best = None
-        for pos in range(1, len(nf) + 1):
-            if pos in used:
-                continue
-            for arc in nf.member(pos):
-                u, v = arc
-                if u in tree and v not in tree:
-                    key = (pos, net.arc_key(arc))
-                    if best is None or key < best[0]:
-                        best = (key, pos, arc)
-        if best is None:
-            left = tuple(sorted(set(range(1, len(nf) + 1)) - used))
-            return GreedyStuck(dict(parent), left)
-        _, pos, (u, v) = best
+    size = net._size
+    target = size - 1
+    row = (1 << size) - 1                               # arcs out of rank 0
+    column = sum(1 << (u * size) for u in range(size))  # arcs into rank 0
+    masks = nf.masks
+    unused = list(range(1, len(masks) + 1))
+    parent: dict[int, tuple[int, int]] = {}
+    closed = column            # arcs into the tree
+    frontier = row & ~closed   # arcs from the tree to vertices outside it
+    while target not in parent:
+        for pos in unused:
+            hit = masks[pos - 1] & frontier
+            if hit:
+                break
+        else:
+            verts = net.vertices
+            return GreedyStuck({verts[v]: (verts[u], m)
+                                for v, (u, m) in parent.items()},
+                               tuple(unused))
+        u, v = divmod((hit & -hit).bit_length() - 1, size)
         parent[v] = (u, pos)
-        tree.add(v)
-        used.add(pos)
-    verts = [net.target]
+        unused.remove(pos)
+        closed |= column << v
+        frontier = (frontier | row << (v * size)) & ~closed
+    ranks = [target]
     reps_reversed = []
-    while verts[-1] != net.source:
-        up, member = parent[verts[-1]]
+    while ranks[-1]:
+        up, member = parent[ranks[-1]]
         reps_reversed.append(member)
-        verts.append(up)
-    verts.reverse()
-    reps_reversed.reverse()
-    return RainbowStPath(StPath(tuple(verts)),
-                         {j: m for j, m in enumerate(reps_reversed)})
+        ranks.append(up)
+    return RainbowStPath(net._path(reversed(ranks)),
+                         dict(enumerate(reversed(reps_reversed))))
 
 
 def exhaustive_rainbow_path(net: Network, nf: NetworkFamily,
@@ -113,29 +117,29 @@ def exhaustive_rainbow_path(net: Network, nf: NetworkFamily,
     if len(net.inner) > bound:
         raise BoundExceeded(
             f"{len(net.inner)} inner vertices exceed the bound {bound}")
-    owners: dict = {}
-    for pos in range(1, len(nf) + 1):
-        for arc in nf.member(pos):
-            owners.setdefault(arc, []).append(pos)
-    for p in st_paths(nf.union(), net):
-        arcs = p.arcs
-        used: set[int] = set()
-        rep: dict[int, int] = {}
+    size = net._size
+    masks = nf.masks
+    owners: dict[int, list[int]] = {}
+    for ranks in _rank_paths(reduce(or_, masks, 0), size):
+        bits = [1 << (u * size + v) for u, v in zip(ranks, ranks[1:])]
+        for bit in bits:
+            if bit not in owners:
+                owners[bit] = [pos for pos, m in enumerate(masks, start=1)
+                               if m & bit]
+        rep: list[int] = []
 
         def assign(j: int) -> bool:
-            if j == len(arcs):
+            if j == len(bits):
                 return True
-            for pos in owners.get(arcs[j], ()):
-                if pos in used:
+            for pos in owners[bits[j]]:
+                if pos in rep:
                     continue
-                used.add(pos)
-                rep[j] = pos
+                rep.append(pos)
                 if assign(j + 1):
                     return True
-                used.discard(pos)
-                del rep[j]
+                rep.pop()
             return False
 
         if assign(0):
-            return RainbowStPath(p, dict(rep))
+            return RainbowStPath(net._path(ranks), dict(enumerate(rep)))
     return None

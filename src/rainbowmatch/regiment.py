@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .network import (Network, NetworkFamily, StPath, has_st_path, is_st_path,
-                      st_paths)
+from .network import (Network, NetworkFamily, StPath, _rank_paths,
+                      has_st_path, is_st_path, st_paths)
 from .paths import exhaustive_rainbow_path
 
 
@@ -94,8 +94,9 @@ def verify_regimentation(net: Network, nf: NetworkFamily,
         covered.update(q.vertices)
     if covered != set(net.vertices):
         return "1"
+    needs = [net._mask_over(q.arcs) for q in r.paths]
     for member, pos in r.assignment.items():
-        if not set(r.paths[pos].arcs) <= nf.member(member):
+        if nf.masks[member - 1] & needs[pos] != needs[pos]:
             return "2"
     counts = Counter(r.assignment.values())
     for pos, q in enumerate(r.paths):
@@ -119,16 +120,15 @@ def find_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None:
     if not net.inner:
         # the bare source-target path covers everything and carries no members
         return Regimentation((StPath((net.source, net.target)),), {})
-    groups: dict[StPath, list[int]] = {}
-    for member in range(1, len(nf) + 1):
-        found = list(itertools.islice(st_paths(nf.member(member), net), 2))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for member, mask in enumerate(nf.masks, start=1):
+        found = list(itertools.islice(_rank_paths(mask, net._size), 2))
         if len(found) == 1:
             groups.setdefault(found[0], []).append(member)
-    paths = sorted(groups, key=lambda q: min(map(net.rank, q.interior),
-                                             default=0))
+    order = sorted(groups, key=lambda ranks: min(ranks[1:-1], default=0))
     certificate = Regimentation(
-        tuple(paths),
-        {m: pos for pos, q in enumerate(paths) for m in groups[q]})
+        tuple(net._path(ranks) for ranks in order),
+        {m: pos for pos, ranks in enumerate(order) for m in groups[ranks]})
     if verify_regimentation(net, nf, certificate) is not None:
         return None
     return certificate

@@ -200,6 +200,15 @@ def regimentation_certificate(r: Regimentation) -> dict:
     }
 
 
+def _member_key(raw: str) -> int:
+    """A member position written as an object key: plain ASCII digits in
+    canonical form, so " 1_0" or "+1" is refused, not read as 10 or 1."""
+    if not (isinstance(raw, str) and raw.isascii() and raw.isdigit()
+            and str(int(raw)) == raw):
+        raise ParseError(f"member key must be a canonical decimal: {raw!r}")
+    return int(raw)
+
+
 def regimentation_from_certificate(payload: Any) -> Regimentation:
     if not isinstance(payload, dict) or "paths" not in payload or "assignment" not in payload:
         raise CertificateError("regimentation certificate needs 'paths' and 'assignment'")
@@ -209,7 +218,7 @@ def regimentation_from_certificate(payload: Any) -> Regimentation:
     try:
         paths = tuple(StPath(tuple(vertex_from_json(v) for v in raw))
                       for raw in payload["paths"])
-        assignment = {int(i): _strict_int(pos, "path index")
+        assignment = {_member_key(i): _strict_int(pos, "path index")
                       for i, pos in payload["assignment"].items()}
     except (ParseError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc

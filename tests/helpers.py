@@ -1,16 +1,18 @@
 """Independent brute-force oracles and tiny instance builders for tests.
 
 Everything here stays deliberately naive: subset enumeration instead of
-augmenting paths, Berge's criterion instead of path tracing, so the
-package's own algorithms are checked against a different route.
+augmenting paths, Berge's criterion instead of path tracing, tuple and
+set arcs instead of bitmasks, so the package's own algorithms are checked
+against a different route.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from rainbowmatch import (BipartiteGraph, EdgeFamily, Network, NetworkFamily,
-                          Regimentation, StPath)
+from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, EdgeFamily,
+                          GreedyStuck, Network, NetworkFamily, RainbowMatching,
+                          RainbowStPath, Regimentation, StPath)
 
 
 def is_matching(edges) -> bool:
@@ -143,4 +145,96 @@ def brute_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None
                 return Regimentation(tuple(paths),
                                      {m: j for j, combo in enumerate(picked)
                                       for m in combo})
+    return None
+
+
+# -- tuple and set based network references ---------------------------------
+
+def naive_build_network(g: BipartiteGraph, fam: EdgeFamily,
+                        rm: RainbowMatching) -> tuple:
+    """(inner, member arc sets, preimages, origin) of the network over rm's
+    matching, with every graph-edge witness recorded per (member, arc)."""
+    matched = rm.matching().edges
+    a_owner = {e[0]: e for e in matched}
+    b_owner = {e[1]: e for e in matched}
+    origin = tuple(i for i in range(1, len(fam) + 1) if i not in rm.assignment)
+    sets = []
+    preimages: dict = {}
+    for pos, i in enumerate(origin, start=1):
+        arcs = set()
+        for h in sorted(fam.member(i)):
+            if h in matched:
+                continue
+            arc = (a_owner.get(h[0], SOURCE), b_owner.get(h[1], TARGET))
+            arcs.add(arc)
+            preimages.setdefault((pos, arc), set()).add(h)
+        sets.append(frozenset(arcs))
+    return (tuple(sorted(matched)), tuple(sets),
+            {key: frozenset(v) for key, v in preimages.items()}, origin)
+
+
+def naive_st_paths(arcs, net: Network):
+    """Simple source-target paths over the arcs, lexicographic by rank."""
+    out: dict = {}
+    for u, v in arcs:
+        out.setdefault(u, []).append(v)
+    for u in out:
+        out[u].sort(key=net.rank)
+    trail = [net.source]
+
+    def walk(u):
+        for v in out.get(u, ()):
+            if v == net.target:
+                yield StPath(tuple(trail) + (v,))
+            elif v not in trail:
+                trail.append(v)
+                yield from walk(v)
+                trail.pop()
+
+    yield from walk(net.source)
+
+
+def naive_greedy_rainbow_tree(net: Network, nf: NetworkFamily):
+    """Rainbow tree grown by scanning every (unused member, arc) pair for
+    the least (member position, arc rank) that leaves the tree."""
+    parent: dict = {}
+    tree = {net.source}
+    used: set[int] = set()
+    while net.target not in tree:
+        best = None
+        for pos in range(1, len(nf) + 1):
+            if pos in used:
+                continue
+            for arc in nf.member(pos):
+                u, v = arc
+                if u in tree and v not in tree:
+                    key = (pos, net.arc_key(arc))
+                    if best is None or key < best[0]:
+                        best = (key, pos, arc)
+        if best is None:
+            left = tuple(sorted(set(range(1, len(nf) + 1)) - used))
+            return GreedyStuck(dict(parent), left)
+        _, pos, (u, v) = best
+        parent[v] = (u, pos)
+        tree.add(v)
+        used.add(pos)
+    verts = [net.target]
+    reps = []
+    while verts[-1] != net.source:
+        up, member = parent[verts[-1]]
+        reps.append(member)
+        verts.append(up)
+    return RainbowStPath(StPath(tuple(reversed(verts))),
+                         dict(enumerate(reversed(reps))))
+
+
+def naive_exhaustive_rainbow_path(net: Network, nf: NetworkFamily):
+    """First path of naive_st_paths over the union that admits distinct
+    owners, with its least owner choice, or None."""
+    for p in naive_st_paths(nf.union(), net):
+        pools = [[pos for pos in range(1, len(nf) + 1) if arc in nf.member(pos)]
+                 for arc in p.arcs]
+        for choice in itertools.product(*pools):
+            if len(set(choice)) == len(choice):
+                return RainbowStPath(p, dict(enumerate(choice)))
     return None

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from rainbowmatch import search
 from rainbowmatch.cli import main
-from rainbowmatch.serialize import family_loads
+from rainbowmatch.serialize import family_from_json, family_loads
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,22 @@ def test_search_command(capsys):
     assert out.startswith("no counterexample; 680 instances")
 
 
+def test_search_command_prints_counterexample(capsys, monkeypatch):
+    # an oracle that under-reports plants a counterexample on the first
+    # family passing the hypothesis
+    monkeypatch.setattr(search, "rainbow_matching_max", lambda fam: (0, None))
+    monkeypatch.delenv("RAINBOW_SEED", raising=False)
+    code, out, _ = run_cli(capsys, "search", "--conjecture", "c4.1",
+                           "--k", "2", "--budget", "200", "--seed", "5")
+    assert code == 0
+    first, rest = out.split("\n", 1)
+    assert first == "counterexample"
+    report = json.loads(rest)
+    assert report["conjecture"] == "c4.1" and report["oracle_size"] == 0
+    expected = search.conjecture_search("c4.1", k=2, budget=200, seed=5)
+    assert family_from_json(report["instance"]) == expected.counterexample
+
+
 def test_export_dot(tmp_path, capsys, drisko2):
     code, out, _ = run_cli(capsys, "solve", "--input", str(drisko2),
                            "--n", "2", "--k", "2")
@@ -279,6 +296,8 @@ def test_solve_refuses_non_integer_vertices(tmp_path, instance):
      {"paths": [["s", "v", "t"]], "assignment": {"1": 0}}, 64),
     ({"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]},
      {"paths": [["s", "v", "t"]], "assignment": [["1", 0]]}, 66),
+    ({"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]] * 2},
+     {"paths": [["s", "v", "t"]], "assignment": {"+1": 0}}, 66),
 ])
 def test_certify_refuses_malformed_shapes(tmp_path, network, certificate,
                                           expected):

@@ -10,7 +10,10 @@ from rainbowmatch import (AlternatingPath, BipartiteGraph,
                           path_to_alternating, rectify_double_representation,
                           st_paths, uncontract_path)
 
-from .helpers import family_on, has_augmenting_path
+from rainbowmatch.generators import random_cooperative_family
+
+from .helpers import (all_arcs_over, family_on, has_augmenting_path,
+                      naive_build_network)
 
 K22 = BipartiteGraph.complete(2)
 K33 = BipartiteGraph.complete(3)
@@ -313,3 +316,56 @@ def test_alternating_from_edges_validates_links():
         alternating_from_edges([(2, 2), (3, 3)], rm)  # (2,2) ends unmatched
     path = alternating_from_edges([(2, 1), (1, 2)], rm)
     assert path.edges() == ((2, 1), (1, 1), (1, 2))
+
+
+def _random_rainbow_matching(fam, rng) -> RainbowMatching:
+    """A partial rainbow matching: members in random order, each taking a
+    random edge that keeps the matching, or skipped."""
+    assignment = {}
+    used_a, used_b = set(), set()
+    for i in rng.sample(range(1, len(fam) + 1), len(fam)):
+        free = [e for e in sorted(fam.member(i))
+                if e[0] not in used_a and e[1] not in used_b]
+        if free and rng.random() < 0.6:
+            a, b = rng.choice(free)
+            assignment[i] = (a, b)
+            used_a.add(a)
+            used_b.add(b)
+    return RainbowMatching(assignment)
+
+
+def test_build_network_matches_naive_reference():
+    rng = random.Random(31)
+    compared = 0
+    for seed in range(400):
+        n = rng.randint(2, 5)
+        k = rng.randint(2, n)
+        g = BipartiteGraph.complete(n, n + rng.randint(0, 1))
+        fam = random_cooperative_family(n, k, g, seed=seed, density=0.5)
+        if fam is None:
+            continue
+        rm = _random_rainbow_matching(fam, rng)
+        net, nf = build_network(g, fam, rm)
+        inner, sets, preimages, origin = naive_build_network(g, fam, rm)
+        assert net.inner == inner
+        assert nf.sets == sets
+        assert nf.origin == origin
+        assert net.arcs == frozenset().union(*sets)
+        assert set(nf.preimages) == set(preimages)
+        assert len(nf.preimages) == len(preimages)
+        every_arc = [(u, v) for u in net.vertices for v in net.vertices]
+        for pos in range(len(sets) + 2):
+            for arc in every_arc:
+                key = (pos, arc)
+                if key in preimages:
+                    assert nf.preimages[key] == preimages[key], key
+                    assert min(nf.preimages.get(key)) == min(preimages[key])
+                else:
+                    assert key not in nf.preimages, key
+                    assert nf.preimages.get(key) is None, key
+        outside = [a for a in all_arcs_over(net.inner) if a not in net.arcs]
+        if outside:
+            with pytest.raises(ValueError):
+                NetworkFamily(net, sets + (frozenset({outside[0]}),))
+        compared += 1
+    assert compared > 300

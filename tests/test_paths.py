@@ -9,7 +9,8 @@ from rainbowmatch import (BoundExceeded, GreedyStuck,
                           exhaustive_rainbow_path, greedy_rainbow_tree,
                           has_st_path, verify_rainbow_path)
 
-from .helpers import abstract_family, all_arcs_over
+from .helpers import (abstract_family, all_arcs_over,
+                      naive_exhaustive_rainbow_path, naive_greedy_rainbow_tree)
 
 
 def test_rainbow_path_validation():
@@ -199,3 +200,25 @@ def test_outcomes_are_member_order_invariant():
         a = exhaustive_rainbow_path(nf.network, nf) is None
         b = exhaustive_rainbow_path(nf2.network, nf2) is None
         assert a == b
+
+
+def test_mask_engines_match_naive_references():
+    # the bitmask engines against the tuple and set scans they replaced
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(1500):
+        inner = tuple(f"v{i}" for i in range(rng.randint(0, 4)))
+        pool = all_arcs_over(inner)
+        density = rng.choice((0.15, 0.3, 0.5))
+        members = [frozenset(a for a in pool if rng.random() < density)
+                   for _ in range(rng.randint(0, len(inner) + 3))]
+        nf = abstract_family(inner, members,
+                             full_arcs=pool if rng.random() < 0.5 else None)
+        net = nf.network
+        greedy = greedy_rainbow_tree(net, nf)
+        assert greedy == naive_greedy_rainbow_tree(net, nf), members
+        exhaustive = exhaustive_rainbow_path(net, nf)
+        assert exhaustive == naive_exhaustive_rainbow_path(net, nf), members
+        outcomes.add((type(greedy).__name__, exhaustive is None))
+    assert outcomes == {("RainbowStPath", False), ("GreedyStuck", False),
+                        ("GreedyStuck", True)}

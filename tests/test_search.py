@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rainbowmatch import (BipartiteGraph, EdgeFamily, matching_number,
-                          rainbow_matching_max)
+                          rainbow_matching_max, search)
 from rainbowmatch.search import (conjecture_search, doubled_family,
                                  graded_union_condition)
 
@@ -105,3 +105,51 @@ def test_search_counterexample_detection_on_planted_instance():
                                exhaustive=True)
     assert not result.found
     assert result.hypothesis_passed == 0
+
+
+def under_reporting_oracle(monkeypatch, sizes=None):
+    """Make the search's rainbow oracle report size 0, or the given sizes
+    call by call, so a counterexample is planted on the first family that
+    passes the hypothesis."""
+    sizes = iter(sizes) if sizes is not None else itertools.repeat(0)
+    monkeypatch.setattr(search, "rainbow_matching_max",
+                        lambda fam: (next(sizes), None))
+
+
+@pytest.mark.parametrize("target", ["c4.1", "c4.3"])
+def test_search_returns_planted_counterexample(monkeypatch, target):
+    K33 = BipartiteGraph.complete(3)
+    under_reporting_oracle(monkeypatch)
+    result = conjecture_search(target, k=2, graph=K33, budget=200, seed=5)
+    assert result.found and result.target == target
+    assert result.oracle_size == 0
+    assert result.hypothesis_passed == 1
+    assert not result.exhaustive
+    assert len(result.counterexample) == 3
+    monkeypatch.undo()
+    # every earlier instance failed the hypothesis, and the planted one
+    # passes it with the real oracle too
+    before = conjecture_search(target, k=2, graph=K33,
+                               budget=result.instances - 1, seed=5)
+    assert before.hypothesis_passed == 0
+    upto = conjecture_search(target, k=2, graph=K33,
+                             budget=result.instances, seed=5)
+    assert not upto.found and upto.hypothesis_passed == 1
+
+
+def test_search_exhaustive_counterexample_counts(monkeypatch):
+    under_reporting_oracle(monkeypatch)
+    result = conjecture_search("c4.1", k=2, graph=K22, budget=10_000,
+                               exhaustive=True)
+    assert result.found and result.exhaustive
+    assert graded_union_condition(result.counterexample, 2)
+    assert result.hypothesis_passed == 1
+    assert 1 <= result.instances <= 680
+
+
+def test_search_refuses_counterexample_that_does_not_reverify(monkeypatch):
+    # the oracle under-reports once, then disagrees on the re-check
+    under_reporting_oracle(monkeypatch, sizes=[0, 1])
+    with pytest.raises(RuntimeError, match="re-verification"):
+        conjecture_search("c4.1", k=2, graph=BipartiteGraph.complete(3),
+                          budget=200, seed=5)

@@ -128,7 +128,10 @@ def test_regimentation_certificate_round_trip():
         regimentation_from_certificate({"assignment": {}})
     for bad in ({"paths": [["s", "t"]], "assignment": [[1, 0]]},
                 {"paths": None, "assignment": {}},
-                {"paths": [["s", [1, 1], "t"]], "assignment": {"2": 0.0}}):
+                {"paths": [["s", [1, 1], "t"]], "assignment": {"2": 0.0}},
+                {"paths": [["s", [1, 1], "t"]], "assignment": {" 1_0": 0}},
+                {"paths": [["s", [1, 1], "t"]], "assignment": {"+\u0663": 0}},
+                {"paths": [["s", [1, 1], "t"]], "assignment": {"02": 0}}):
         with pytest.raises(CertificateError):
             regimentation_from_certificate(bad)
 
