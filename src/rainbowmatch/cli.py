@@ -6,9 +6,10 @@ Commands: solve, check, gen, certify, search, export-dot.  Exit codes:
     1   a supplied certificate failed verification
     2   hypothesis failure (a k-union is too small)
     3   violation report (falsification channel; never expected)
-    64  unreadable or unparseable input, or bad command usage
+    64  unreadable or unparseable input (including non-UTF-8 files), or
+        bad command usage
     65  parameter mismatch (sizes, ranges, emptiness bound)
-    66  malformed certificate file
+    66  malformed certificate file (including a non-UTF-8 one)
 
 The environment variable RAINBOW_SEED overrides --seed wherever a seed is
 taken.
@@ -17,6 +18,7 @@ taken.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,12 +50,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _read(path: str) -> str:
+def _read(path: str, malformed: type[ValueError] = ParseError) -> str:
+    """The file's text; a file that is not UTF-8 raises `malformed`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise malformed(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_family(path: str) -> EdgeFamily:
@@ -64,9 +69,11 @@ def _load_family(path: str) -> EdgeFamily:
 
 
 def _load_certificate(path: str):
+    text = _read(path, CertificateError)
     try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise CertificateError(str(exc)) from exc
 
 
@@ -260,9 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args leaves a parser as it found it,
+    so every main() call can share the one built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

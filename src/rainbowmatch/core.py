@@ -86,7 +86,22 @@ class EdgeFamily:
     def __post_init__(self) -> None:
         sets = tuple(frozenset(_as_edge(e) for e in s) for s in self.sets)
         object.__setattr__(self, "sets", sets)
-        for idx, s in enumerate(sets, start=1):
+        self._check_members()
+
+    @classmethod
+    def _of_int_pairs(cls, graph: BipartiteGraph,
+                      sets: tuple[frozenset[Edge], ...]) -> "EdgeFamily":
+        """A family whose members already are frozensets of (int, int)
+        pairs, as the instance reader builds them: the subset check runs,
+        the per-edge normalisation (a no-op on such input) does not."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "graph", graph)
+        object.__setattr__(fam, "sets", sets)
+        fam._check_members()
+        return fam
+
+    def _check_members(self) -> None:
+        for idx, s in enumerate(self.sets, start=1):
             if not s <= self.graph.edges:
                 raise ValueError(f"member {idx} uses edges outside the graph")
 

@@ -47,6 +47,14 @@ def _strict_int(raw: Any, what: str) -> int:
     return raw
 
 
+def _json_loads(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 # -- bipartite instances ----------------------------------------------------
 
 def family_to_json(fam: EdgeFamily) -> dict:
@@ -70,6 +78,8 @@ def family_from_json(payload: Any) -> EdgeFamily:
     right = _strict_int(right, "right")
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ParseError("instance needs a nonempty list of sets")
+    # one pass checks shape and integer type; the messages are built only
+    # on the error path
     sets = []
     for idx, raw in enumerate(raw_sets, start=1):
         if not isinstance(raw, list):
@@ -78,14 +88,15 @@ def family_from_json(payload: Any) -> EdgeFamily:
         for e in raw:
             if not (isinstance(e, list) and len(e) == 2):
                 raise ParseError(f"set {idx} holds a malformed edge: {e!r}")
-            edges.add((_strict_int(e[0], f"set {idx} edge endpoint"),
-                       _strict_int(e[1], f"set {idx} edge endpoint")))
+            a, b = e
+            if type(a) is not int or type(b) is not int:
+                _strict_int(a, f"set {idx} edge endpoint")
+                _strict_int(b, f"set {idx} edge endpoint")
+            edges.add((a, b))
         sets.append(frozenset(edges))
     try:
-        graph = BipartiteGraph(
-            left, right,
-            frozenset().union(*sets) if sets else frozenset())
-        return EdgeFamily(graph, tuple(sets))
+        graph = BipartiteGraph(left, right, frozenset().union(*sets))
+        return EdgeFamily._of_int_pairs(graph, tuple(sets))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -95,11 +106,7 @@ def family_dumps(fam: EdgeFamily) -> str:
 
 
 def family_loads(text: str) -> EdgeFamily:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return family_from_json(payload)
+    return family_from_json(_json_loads(text))
 
 
 # -- vertices and network instances -----------------------------------------
@@ -154,10 +161,7 @@ def network_family_to_json(nf: NetworkFamily) -> dict:
 
 def load_instance(text: str) -> EdgeFamily | NetworkFamily:
     """Parse either instance flavor, keyed on the fields present."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    payload = _json_loads(text)
     if isinstance(payload, dict) and "inner" in payload:
         return network_family_from_json(payload)
     return family_from_json(payload)

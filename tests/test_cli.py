@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch import search
-from rainbowmatch.cli import main
+from rainbowmatch.cli import build_parser, main
 from rainbowmatch.serialize import family_from_json, family_loads
 
 
@@ -310,3 +314,177 @@ def test_certify_refuses_malformed_shapes(tmp_path, network, certificate,
     assert proc.returncode == expected
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+_NETWORK = {"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]}
+_CERTIFICATE = {"schema": "rainbow/1", "paths": [["s", "v", "t"]],
+                "assignment": {"1": 0}}
+# bytes that are not UTF-8, and nesting past the JSON decoder's recursion limit
+_UNREADABLE = {"not-utf8": b"\xff\xfe{}",
+               "deep": b"[" * 200_000 + b"]" * 200_000}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+def test_unreadable_instance_exits_64(tmp_path, kind):
+    content = _UNREADABLE[kind]
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    proc = _run_module("solve", "--input", str(path), "--n", "2", "--k", "2")
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+    netfile = tmp_path / "net.json"
+    netfile.write_bytes(content)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_CERTIFICATE))
+    proc = _run_module("certify", "--input", str(netfile),
+                       "--regimentation", str(cert))
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+def test_unreadable_certificate_exits_66(tmp_path, kind):
+    content = _UNREADABLE[kind]
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(_NETWORK))
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(content)
+    proc = _run_module("certify", "--input", str(netfile),
+                       "--regimentation", str(cert))
+    assert proc.returncode == 66
+    assert proc.stdout == ""
+    assert "malformed certificate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_parser_is_shared_across_calls(capsys, monkeypatch, drisko2):
+    # main() reuses one parser per process; interleaved calls, a usage
+    # error among them, must print what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("RAINBOW_SEED", raising=False)
+    solve = ("solve", "--input", str(drisko2), "--n", "2", "--k", "2")
+    calls = [solve + ("--mode", "oracle"), solve,
+             ("solve", "--input", str(drisko2), "--n", "two", "--k", "2"),
+             ("gen", "--family", "staircase", "--k", "3", "--seed", "5"),
+             ("search", "--conjecture", "c4.1", "--k", "2", "--exhaustive",
+              "--budget", "1000"),
+             solve]
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = _run_module(*argv)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is not build_parser()
+
+
+# -- every input file maps to a documented exit code -------------------------
+
+_EXIT_CODES = {0, 1, 2, 3, 64, 65, 66}
+_KEYS = ("left", "right", "sets", "inner", "paths", "assignment", "schema",
+         "1", "2")
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner,
+                      max_size=4),
+    max_leaves=20)
+
+
+def _mostly(good, other):
+    """good three times in four, else other, so that most drawn files
+    get past the first check and reach the deeper ones."""
+    return st.integers(0, 3).flatmap(lambda r: other if r == 0 else good)
+
+
+@st.composite
+def _instance(draw):
+    """A bipartite instance of the size solve expects for (n, k); in one
+    draw in four an edge may stray outside the graph or be any JSON value."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(2, n))
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).map(list)
+    if draw(_mostly(st.just(False), st.just(True))):
+        edge |= (st.lists(st.integers(0, n + 1), min_size=2, max_size=2)
+                 | _json_values)
+    size = 2 * n + k - 3
+    sets = draw(st.lists(st.lists(edge, min_size=1, max_size=n * n),
+                         min_size=size, max_size=size + 1))
+    return {"left": n, "right": n, "sets": sets}, n, k
+
+
+_vertex = _mostly(st.sampled_from(["v", "w"]),
+                  st.sampled_from(["s", "t", [1, 1]]) | _json_values)
+_arc = _mostly(st.sampled_from([["s", "v"], ["s", "w"], ["v", "w"],
+                                ["w", "v"], ["v", "t"], ["w", "t"]]),
+               st.lists(_vertex, min_size=2, max_size=2) | _json_values)
+_network = st.fixed_dictionaries({
+    "inner": _mostly(st.just(["v", "w"]), st.lists(_vertex, max_size=3)),
+    "sets": st.lists(st.lists(_arc, max_size=4), max_size=4)})
+_certificate = st.fixed_dictionaries({
+    "schema": st.just("rainbow/1"),
+    "paths": st.lists(st.tuples(st.just("s"), st.lists(_vertex, max_size=2),
+                                st.just("t"))
+                      .map(lambda p: [p[0], *p[1], p[2]]), max_size=3),
+    "assignment": st.dictionaries(
+        _mostly(st.sampled_from(["1", "2", "3", "4"]), st.text(max_size=2)),
+        _mostly(st.integers(0, 2), _json_values), max_size=4)})
+
+
+def _file(payload):
+    """File contents: mostly the payload as JSON, else any JSON value or
+    any bytes."""
+    return _mostly(payload.map(json.dumps),
+                   _json_values.map(json.dumps) | st.binary(max_size=32))
+
+
+_argument = st.integers(-1, 4).map(str) | st.sampled_from(["", "x", "2.5"])
+
+
+@st.composite
+def _solve_case(draw):
+    payload, n, k = draw(_instance())
+    text = draw(_file(st.just(payload)))
+    n, k = draw(_mostly(st.just((n, k)), st.tuples(_argument, _argument)))
+    mode = draw(st.sampled_from(["constructive", "oracle", "hybrid"]))
+    return ("solve", "--n", str(n), "--k", str(k), "--mode", mode), (text,)
+
+
+_certify_case = st.tuples(st.just(("certify",)),
+                          st.tuples(_file(_network), _file(_certificate)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_solve_case() | _certify_case)
+def test_any_input_file_maps_to_an_exit_code(tmp_path, case):
+    command, contents = case
+    paths = []
+    for index, content in enumerate(contents):
+        path = tmp_path / f"file{index}"
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            path.write_bytes(content)
+        paths.append(str(path))
+    if command[0] == "solve":
+        argv = [*command, "--input", paths[0]]
+    else:
+        argv = ["certify", "--input", paths[0], "--regimentation", paths[1]]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 64, err.getvalue()   # argparse usage errors only
+        code = "usage"
+    event(f"{command[0]} exit {code}")
+    assert code == "usage" or code in _EXIT_CODES

@@ -1,13 +1,16 @@
 import json
+import random
 
 import pytest
 
-from rainbowmatch import (EdgeFamily, NetworkFamily, RainbowMatching,
-                          Regimentation, StPath, build_network)
+from rainbowmatch import (BipartiteGraph, EdgeFamily, NetworkFamily,
+                          RainbowMatching, Regimentation, StPath,
+                          build_network)
 from rainbowmatch.generators import sharpness_family
 from rainbowmatch.serialize import (CertificateError, ParseError,
                                     dumps_canonical, family_dumps,
-                                    family_loads, load_instance,
+                                    family_from_json, family_loads,
+                                    load_instance,
                                     matching_certificate,
                                     matching_from_certificate,
                                     network_dot, network_family_from_json,
@@ -61,6 +64,81 @@ def test_family_parse_errors():
             family_loads(json.dumps({"left": left, "right": 2, "sets": [[[1, 1]]]}))
     with pytest.raises(ParseError):
         family_loads(json.dumps({"left": 2, "right": 2.0, "sets": [[[1, 1]]]}))
+
+
+def _random_payload(rng):
+    left, right = rng.randint(1, 5), rng.randint(1, 5)
+    edges = [[a, b] for a in range(1, left + 1) for b in range(1, right + 1)]
+    sets = []
+    for _ in range(rng.randint(1, 9)):
+        roll = rng.random()
+        if roll < 0.15:
+            sets.append([])
+        elif roll < 0.3 and sets:
+            sets.append(list(rng.choice(sets)))     # a duplicate member
+        else:
+            member = rng.sample(edges, rng.randint(1, len(edges)))
+            member += rng.sample(member, rng.randint(0, len(member)))  # repeats
+            rng.shuffle(member)
+            sets.append(member)
+    return {"left": left, "right": right, "sets": sets}
+
+
+def test_reader_matches_public_constructors():
+    # the reader builds its family through a private constructor that
+    # skips the per-edge normalisation; the result must be the family the
+    # public constructors build from the same JSON edges
+    rng = random.Random(20260)
+    duplicates = empties = 0
+    for _ in range(400):
+        payload = _random_payload(rng)
+        raw = payload["sets"]
+        public = EdgeFamily(
+            BipartiteGraph(payload["left"], payload["right"],
+                           [e for member in raw for e in member]),
+            tuple(raw))
+        read = family_from_json(payload)
+        assert read == public
+        assert hash(read) == hash(public)
+        assert read.sets == public.sets and read.graph == public.graph
+        assert all(type(a) is int and type(b) is int
+                   for member in read.sets for a, b in member)
+        duplicates += len(set(public.sets)) < len(public.sets)
+        empties += frozenset() in public.sets
+    assert duplicates and empties
+
+
+_OK = [[1, 1], [2, 2]]
+
+
+@pytest.mark.parametrize("bad_member, message", [
+    ([[1, 2], [1.5, 1]], "set 2 edge endpoint must be an integer, got 1.5"),
+    ([[1, 2], [1, 2.0]], "set 2 edge endpoint must be an integer, got 2.0"),
+    ([[True, 1]], "set 2 edge endpoint must be an integer, got True"),
+    ([[2, False]], "set 2 edge endpoint must be an integer, got False"),
+    ([["1", 1]], "set 2 edge endpoint must be an integer, got '1'"),
+    ([[1, "2"]], "set 2 edge endpoint must be an integer, got '2'"),
+    ([[0.5, "x"]], "set 2 edge endpoint must be an integer, got 0.5"),
+    ([[1, 2, 1]], "set 2 holds a malformed edge: [1, 2, 1]"),
+    ([[1]], "set 2 holds a malformed edge: [1]"),
+    ([7], "set 2 holds a malformed edge: 7"),
+    ([[3, 1]], "edge (3, 1) lies outside the vertex ranges"),
+    ([[1, 0]], "edge (1, 0) lies outside the vertex ranges"),
+    ({"1": [1, 1]}, "set 2 must be a list of edges"),
+    (None, "set 2 must be a list of edges"),
+])
+def test_family_parse_error_messages(bad_member, message):
+    payload = {"left": 2, "right": 2, "sets": [_OK, bad_member]}
+    with pytest.raises(ParseError) as info:
+        family_from_json(payload)
+    assert str(info.value) == message
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    deep = "[" * 200_000 + "]" * 200_000
+    for read in (family_loads, load_instance):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            read(deep)
 
 
 def test_load_instance_dispatch():
