@@ -13,16 +13,13 @@ from .core import (BipartiteGraph, Edge, EdgeFamily, Matching,
 from .network import (SOURCE, TARGET, AlternatingPath, BoundExceeded, Network,
                       NetworkFamily, PreimageError, RectifyCycle,
                       RepresentationClash, StPath, alternating_from_edges,
-                      augment, build_network, contract_source_edge,
-                      has_st_path, is_st_path, path_to_alternating,
-                      rectify_double_representation, st_paths,
-                      uncontract_path)
+                      augment, build_network, has_st_path,
+                      path_to_alternating, rectify_double_representation)
 from .paths import (GreedyStuck, RainbowStPath, exhaustive_rainbow_path,
                     greedy_rainbow_tree, verify_rainbow_path)
 from .regiment import (Regimentation, StructureLemmaReport, backward_arcs,
-                       check_exchange_lemma, check_structure_lemmas,
-                       find_regimentation, useless_arcs,
-                       verify_regimentation)
+                       check_structure_lemmas, find_regimentation,
+                       useless_arcs, verify_regimentation)
 from .dichotomy import TheoremViolation, UnionPathError, dichotomy
 from .solver import (ArrowCheck, ConstructiveStall, HypothesisFailure,
                      ViolationReport, solve_main, verify_arrow_statement)
@@ -41,13 +38,11 @@ __all__ = [
     "SOURCE", "TARGET", "AlternatingPath", "BoundExceeded", "Network",
     "NetworkFamily", "PreimageError", "RectifyCycle", "RepresentationClash",
     "StPath", "alternating_from_edges", "augment", "build_network",
-    "contract_source_edge", "has_st_path", "is_st_path",
-    "path_to_alternating", "rectify_double_representation", "st_paths",
-    "uncontract_path",
+    "has_st_path", "path_to_alternating", "rectify_double_representation",
     "GreedyStuck", "RainbowStPath", "exhaustive_rainbow_path",
     "greedy_rainbow_tree", "verify_rainbow_path",
     "Regimentation", "StructureLemmaReport", "backward_arcs",
-    "check_exchange_lemma", "check_structure_lemmas", "find_regimentation",
+    "check_structure_lemmas", "find_regimentation",
     "useless_arcs", "verify_regimentation",
     "TheoremViolation", "UnionPathError", "dichotomy",
     "ArrowCheck", "ConstructiveStall", "HypothesisFailure",

@@ -27,12 +27,13 @@ from .core import EdgeFamily
 from .generators import drisko_family, sharpness_family, staircase_family
 from .network import BoundExceeded, build_network
 from .regiment import check_structure_lemmas, verify_regimentation
-from .search import conjecture_search
+from .search import TARGETS, conjecture_search
 from .serialize import (CertificateError, ParseError, dumps_canonical,
                         family_dumps, family_to_json, load_instance,
                         matching_certificate, matching_from_certificate,
                         network_dot, regimentation_from_certificate)
-from .solver import HypothesisFailure, ViolationReport, solve_main
+from .solver import (MODES, HypothesisFailure, ViolationReport, solve_main,
+                     verify_arrow_statement)
 
 EXIT_OK = 0
 EXIT_INVALID_CERT = 1
@@ -77,13 +78,23 @@ def _load_certificate(path: str):
         raise CertificateError(str(exc)) from exc
 
 
+def _integer(text: str) -> int:
+    """An optional '-' then ASCII digits only; int() alone would also take
+    surrounding whitespace, '+', '_' and non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _seed(args) -> int:
     env = os.environ.get("RAINBOW_SEED")
     if env is None:
         return args.seed
     try:
-        return int(env)
-    except ValueError:
+        return _integer(env)
+    except (argparse.ArgumentTypeError, ValueError):
+        # ValueError: more digits than int() converts
         raise ParseError(f"RAINBOW_SEED must be an integer, got {env!r}") from None
 
 
@@ -111,7 +122,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .solver import verify_arrow_statement
     fam = _load_family(args.input)
     try:
         verdict = verify_arrow_statement(args.m, args.k, args.n, args.q, fam)
@@ -222,28 +232,27 @@ def build_parser() -> argparse.ArgumentParser:
                                  "check, generate, certify, search, export.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[], help="grow a size-n rainbow matching")
+    p = sub.add_parser("solve", help="grow a size-n rainbow matching")
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("constructive", "oracle", "hybrid"),
-                   default="hybrid")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--mode", choices=MODES, default="hybrid")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="evaluate an arrow statement on an instance")
     p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--q", type=_integer, required=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen", help="emit a generated instance file")
     p.add_argument("--family", choices=("sharpness", "drisko", "staircase"),
                    required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--k", type=_integer)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("certify", help="verify a regimentation certificate")
@@ -252,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("search", help="hunt for conjecture counterexamples")
-    p.add_argument("--conjecture", choices=("c4.1", "c4.3"), required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--conjecture", choices=TARGETS, required=True)
+    p.add_argument("--k", type=_integer, default=2)
+    p.add_argument("--budget", type=_integer, default=100_000)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=_cmd_search)
 

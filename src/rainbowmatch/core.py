@@ -67,14 +67,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    @property
-    def left_vertices(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.edges)
-
-    @property
-    def right_vertices(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.edges)
-
 
 @dataclass(frozen=True)
 class EdgeFamily:

@@ -3,8 +3,9 @@
 A network built over a matching has the matching's edges as inner
 vertices; each non-matching graph edge of a family member turns into an
 arc, and source-target paths correspond to augmenting alternating paths.
-The module also implements the symmetric-difference augmentation, repair
-of a doubly represented candidate, and source-edge contraction.
+The source and target are always SOURCE ("s") and TARGET ("t").  The
+module also implements the symmetric-difference augmentation and the
+repair of a doubly represented candidate.
 
 Inside, vertices are their ranks (source 0, inner vertices 1..r, target
 r + 1) and arc (u, v) is bit rank(u) * |V| + rank(v) of an integer mask,
@@ -56,40 +57,37 @@ class RepresentationClash(Exception):
 
 @dataclass(frozen=True)
 class Network:
-    """Digraph with a distinguished source and target.
+    """Digraph from SOURCE to TARGET through the inner vertices.
 
-    No arc enters the source, none leaves the target, and self-loops are
-    rejected.  Vertex order (source, inner..., target) fixes the
-    deterministic ranking used by every search in the package, and with
-    it each arc's bit (see the module docstring).
+    No inner vertex is named SOURCE or TARGET, no arc enters the source,
+    none leaves the target, and self-loops are rejected.  Vertex order
+    (source, inner..., target) fixes the deterministic ranking used by
+    every search in the package, and with it each arc's bit (see the
+    module docstring).
     """
 
     inner: tuple
     arcs: frozenset
-    source: object = SOURCE
-    target: object = TARGET
 
     def __post_init__(self) -> None:
         inner = tuple(self.inner)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "arcs", frozenset((u, v) for u, v in self.arcs))
-        if self.source == self.target:
-            raise ValueError("source and target must differ")
-        if self.source in inner or self.target in inner:
+        if SOURCE in inner or TARGET in inner:
             raise ValueError("source and target cannot be inner vertices")
         if len(set(inner)) != len(inner):
             raise ValueError("inner vertices repeat")
-        verts = set(inner) | {self.source, self.target}
+        verts = {SOURCE, *inner, TARGET}
         for u, v in self.arcs:
             if u not in verts or v not in verts:
                 raise ValueError(f"arc ({u!r}, {v!r}) leaves the vertex set")
             if u == v:
                 raise ValueError("self-loops are not allowed")
-            if v == self.source:
+            if v == SOURCE:
                 raise ValueError("no arc may enter the source")
-            if u == self.target:
+            if u == TARGET:
                 raise ValueError("no arc may leave the target")
-        ranks = {v: i for i, v in enumerate((self.source, *inner, self.target))}
+        ranks = {v: i for i, v in enumerate((SOURCE, *inner, TARGET))}
         size = len(ranks)
         self._index(ranks, {(u, v): 1 << (ranks[u] * size + ranks[v])
                             for u, v in self.arcs})
@@ -114,14 +112,13 @@ class Network:
             u, v = divmod(low.bit_length() - 1, size)
             bits[(verts[u], verts[v])] = low
         net = object.__new__(cls)
-        net.__dict__.update(inner=inner, arcs=frozenset(bits), source=SOURCE,
-                            target=TARGET)
+        net.__dict__.update(inner=inner, arcs=frozenset(bits))
         net._index({v: i for i, v in enumerate(verts)}, bits)
         return net
 
     @property
     def vertices(self) -> tuple:
-        return (self.source, *self.inner, self.target)
+        return (SOURCE, *self.inner, TARGET)
 
     def rank(self, v) -> int:
         try:
@@ -216,17 +213,13 @@ class StPath:
         return self.vertices[1:-1]
 
 
-def is_st_path(net: Network, path: StPath, require_arcs: bool = True) -> bool:
-    """Structural check against a network; arcs may be waived because
-    certificate paths only need to live over the vertex set."""
+def is_st_path(net: Network, path: StPath) -> bool:
+    """Whether path runs from the source to the target through inner
+    vertices of net.  Its arcs need not be network arcs: certificate paths
+    only need to live over the vertex set."""
     verts = path.vertices
-    if verts[0] != net.source or verts[-1] != net.target:
-        return False
-    if not set(path.interior) <= set(net.inner):
-        return False
-    if require_arcs and not set(path.arcs) <= net.arcs:
-        return False
-    return True
+    return (verts[0] == SOURCE and verts[-1] == TARGET
+            and set(path.interior) <= set(net.inner))
 
 
 @dataclass(frozen=True, init=False)
@@ -234,10 +227,10 @@ class NetworkFamily:
     """Ordered multiset of arc sets over a shared network.
 
     masks holds one arc mask per member; sets is the frozenset view.
-    preimages maps (member position, arc) to the graph edges producing the
-    arc when the family was built over a matching; origin maps member
-    positions back to the originating edge-family indices.  Both stay None
-    for standalone families.  Positions are 1-based.
+    Families from build_network also carry preimages, mapping (member
+    position, arc) to the graph edges producing the arc, and origin,
+    mapping member positions back to the originating edge-family indices;
+    both are None for families built from arc sets.  Positions are 1-based.
     """
 
     network: Network
@@ -245,9 +238,7 @@ class NetworkFamily:
     preimages: Mapping | None
     origin: tuple[int, ...] | None
 
-    def __init__(self, network: Network, sets,
-                 preimages: Mapping | None = None,
-                 origin: tuple[int, ...] | None = None) -> None:
+    def __init__(self, network: Network, sets) -> None:
         sets = tuple(frozenset(s) for s in sets)
         try:
             masks = tuple(sum(map(network._bit.__getitem__, s)) for s in sets)
@@ -255,13 +246,7 @@ class NetworkFamily:
             idx = next(i for i, s in enumerate(sets, start=1)
                        if not s <= network.arcs)
             raise ValueError(f"member {idx} uses arcs outside the network") from None
-        if origin is not None:
-            origin = tuple(int(i) for i in origin)
-            if len(origin) != len(sets):
-                raise ValueError("origin must label every member")
-        if preimages is not None:
-            preimages = {key: frozenset(v) for key, v in dict(preimages).items()}
-        self._fill(network, masks, preimages, origin, sets)
+        self._fill(network, masks, None, None, sets)
 
     def _fill(self, network, masks, preimages, origin, sets) -> None:
         self.__dict__.update(network=network, masks=masks, preimages=preimages,
@@ -347,13 +332,6 @@ def has_st_path(arcs: Iterable, source=SOURCE, target=TARGET) -> bool:
                     nxt.append(v)
         frontier = nxt
     return False
-
-
-def st_paths(arcs: Iterable, net: Network) -> Iterator[StPath]:
-    """All simple source-target paths using only the given arcs, emitted in
-    lexicographic order of the network's vertex ranks."""
-    for ranks in _rank_paths(net._mask_over(arcs), net._size):
-        yield net._path(ranks)
 
 
 def build_network(g: BipartiteGraph, fam: EdgeFamily,
@@ -590,55 +568,3 @@ def rectify_double_representation(pairs: Sequence[tuple[int, Edge]],
         raise ValueError("rectification must preserve the candidate's size")
     return result
 
-
-def _fresh_source(net: Network) -> str:
-    label = str(net.source) + "'"
-    taken = set(net.inner) | {net.source, net.target}
-    while label in taken:
-        label += "'"
-    return label
-
-
-def contract_source_edge(nf: NetworkFamily, x) -> NetworkFamily:
-    """Contract the arc source -> x into a new source vertex.
-
-    Member rewriting: arcs source->y and x->y become newsource->y, arcs
-    into x disappear, and the contracted arc itself (a would-be self-loop)
-    is dropped.  The new network's arcs are the union of the rewritten
-    members; recorded preimages do not survive contraction.
-    """
-    net = nf.network
-    if x not in net.inner:
-        raise ValueError(f"{x!r} is not an inner vertex")
-    if (net.source, x) not in net.arcs:
-        raise ValueError("the network has no source arc to the given vertex")
-    s2 = _fresh_source(net)
-    new_sets = []
-    for member in nf.sets:
-        out = set()
-        for u, v in member:
-            if v == x:
-                continue
-            if u == net.source or u == x:
-                out.add((s2, v))
-            else:
-                out.add((u, v))
-        new_sets.append(frozenset(out))
-    inner = tuple(w for w in net.inner if w != x)
-    arcs = frozenset().union(*new_sets) if new_sets else frozenset()
-    new_net = Network(inner=inner, arcs=arcs, source=s2, target=net.target)
-    return NetworkFamily(new_net, tuple(new_sets), preimages=None, origin=nf.origin)
-
-
-def uncontract_path(q: StPath, variant: int, x, source=SOURCE) -> StPath:
-    """Undo a source contraction on a path that starts at the merged source.
-
-    Variant 1 renames the first vertex back to source; variant 2 expands
-    the first arc through the contracted vertex x.
-    """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    rest = q.vertices[1:]
-    if variant == 1:
-        return StPath((source, *rest))
-    return StPath((source, x, *rest))

@@ -39,7 +39,7 @@ class RainbowStPath:
 def verify_rainbow_path(nf: NetworkFamily, rp: RainbowStPath) -> bool:
     """Independent validity check: a real source-target path over the
     network, injectively represented, every arc owned by its member."""
-    if not is_st_path(nf.network, rp.path, require_arcs=False):
+    if not is_st_path(nf.network, rp.path):
         return False
     arcs = rp.path.arcs
     members = list(rp.representation.values())

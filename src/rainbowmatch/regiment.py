@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .network import (Network, NetworkFamily, StPath, _rank_paths,
-                      has_st_path, is_st_path, st_paths)
+from .network import (SOURCE, TARGET, Network, NetworkFamily, StPath,
+                      _mask_has_path, _rank_paths, is_st_path)
 from .paths import exhaustive_rainbow_path
 
 
@@ -35,15 +35,6 @@ class Regimentation:
         object.__setattr__(self, "paths", tuple(self.paths))
         assignment = {int(i): int(p) for i, p in dict(self.assignment).items()}
         object.__setattr__(self, "assignment", assignment)
-
-    def essential(self) -> tuple[int, ...]:
-        return tuple(sorted(self.assignment))
-
-    def inessential(self, nf: NetworkFamily) -> tuple[int, ...]:
-        return tuple(i for i in range(1, len(nf) + 1) if i not in self.assignment)
-
-    def path_of(self, member: int) -> StPath:
-        return self.paths[self.assignment[member]]
 
 
 def backward_arcs(net: Network, q: StPath) -> frozenset:
@@ -80,7 +71,7 @@ def verify_regimentation(net: Network, nf: NetworkFamily,
     path carrying no members is legitimate cover.
     """
     for q in r.paths:
-        if not is_st_path(net, q, require_arcs=False):
+        if not is_st_path(net, q):
             return "paths"
     interiors = [set(q.interior) for q in r.paths]
     for i, j in itertools.combinations(range(len(r.paths)), 2):
@@ -119,7 +110,7 @@ def find_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None:
     """
     if not net.inner:
         # the bare source-target path covers everything and carries no members
-        return Regimentation((StPath((net.source, net.target)),), {})
+        return Regimentation((StPath((SOURCE, TARGET)),), {})
     groups: dict[tuple[int, ...], list[int]] = {}
     for member, mask in enumerate(nf.masks, start=1):
         found = list(itertools.islice(_rank_paths(mask, net._size), 2))
@@ -177,61 +168,22 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily,
         return StructureLemmaReport(hypothesis_met=False)
     essential = set(r.assignment)
     counting_ok = len(essential) == len(net.inner)
-    all_backward = frozenset().union(*(backward_arcs(net, q) for q in r.paths)) \
-        if r.paths else frozenset()
-    inessential = [i for i in range(1, len(nf) + 1) if i not in essential]
-    backward_ok = all(nf.member(i) <= all_backward for i in inessential)
+    masks, size = nf.masks, net._size
+    all_backward = net._mask_over(
+        frozenset().union(*(backward_arcs(net, q) for q in r.paths)))
+    backward_ok = not any(mask & ~all_backward
+                          for i, mask in enumerate(masks, start=1)
+                          if i not in essential)
     for pos, q in enumerate(r.paths):
-        allowed = set(q.arcs) | all_backward | useless_arcs(net, q)
+        allowed = net._mask_over({*q.arcs, *useless_arcs(net, q)}) | all_backward
         for member, target in r.assignment.items():
-            if target == pos and not nf.member(member) <= allowed:
+            if target == pos and masks[member - 1] & ~allowed:
                 backward_ok = False
-    only_path_ok = True
-    for member, pos in r.assignment.items():
-        found = list(st_paths(nf.member(member), net))
-        if found != [r.paths[pos]]:
-            only_path_ok = False
-    essential_iff = all(
-        (i in essential) == has_st_path(nf.member(i), net.source, net.target)
-        for i in range(1, len(nf) + 1))
+    only_path_ok = all(
+        list(itertools.islice(_rank_paths(masks[member - 1], size), 2))
+        == [tuple(map(net.rank, r.paths[pos].vertices))]
+        for member, pos in r.assignment.items())
+    essential_iff = all((i in essential) == _mask_has_path(mask, size)
+                        for i, mask in enumerate(masks, start=1))
     return StructureLemmaReport(True, counting_ok, backward_ok,
                                 only_path_ok, essential_iff)
-
-
-def check_exchange_lemma(nf_g: NetworkFamily, nf_h: NetworkFamily,
-                         r_g: Regimentation, r_h: Regimentation) -> bool:
-    """Swap-stability of certificates under exchanging a single member.
-
-    The two families must differ by exactly one member in each direction
-    (multiset difference), both certificates must verify, and neither
-    family may have a rainbow source-target path.  Passes when the swapped
-    members are both inessential, or both essential with the same assigned
-    path.
-    """
-    if nf_g.network != nf_h.network:
-        raise ValueError("families must live over the same network")
-    count_g = Counter(nf_g.sets)
-    count_h = Counter(nf_h.sets)
-    only_g = list((count_g - count_h).elements())
-    only_h = list((count_h - count_g).elements())
-    if len(only_g) != 1 or len(only_h) != 1:
-        raise ValueError("families must differ in exactly one member each way")
-    g_set, h_set = only_g[0], only_h[0]
-    for nf, r in ((nf_g, r_g), (nf_h, r_h)):
-        if verify_regimentation(nf.network, nf, r) is not None:
-            raise ValueError("a certificate does not verify")
-        if exhaustive_rainbow_path(nf.network, nf) is not None:
-            raise ValueError("a family still has a rainbow source-target path")
-
-    def essential_path(nf: NetworkFamily, r: Regimentation, content) -> StPath | None:
-        positions = [i for i in range(1, len(nf) + 1) if nf.member(i) == content]
-        for i in positions:
-            if i in r.assignment:
-                return r.paths[r.assignment[i]]
-        return None
-
-    path_g = essential_path(nf_g, r_g, g_set)
-    path_h = essential_path(nf_h, r_h, h_set)
-    if path_g is None and path_h is None:
-        return True
-    return path_g is not None and path_h is not None and path_g == path_h

@@ -96,6 +96,8 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
         raise ValueError(f"target must be one of {TARGETS}")
     if k < 1:
         raise ValueError("need k >= 1")
+    if budget < 0:
+        raise ValueError("need budget >= 0")
     if graph is None:
         graph = BipartiteGraph.complete(2 if exhaustive else k + 1)
     members = 2 * k - 1

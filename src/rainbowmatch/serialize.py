@@ -9,10 +9,9 @@ Regimentation cert.:  {"schema": "rainbow/1", "paths": [[vertex, ...], ...],
                        "assignment": {"member": path_index, ...}}
 
 Vertices serialize as strings for labels and [a, b] pairs for matching
-edges; the source and target are always "s" and "t" on bipartite-built
-networks.  Serialization is canonical (sorted edges, two-space indent,
-LF endings, trailing newline) so generate/parse/serialize round-trips are
-byte-identical.
+edges; the source and target are always "s" and "t".  Serialization is
+canonical (sorted edges, two-space indent, LF endings, trailing newline)
+so generate/parse/serialize round-trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ import json
 from typing import Any
 
 from .core import BipartiteGraph, Edge, EdgeFamily, RainbowMatching
-from .network import SOURCE, TARGET, Network, NetworkFamily
+from .network import SOURCE, TARGET, Network, NetworkFamily, StPath
 from .regiment import Regimentation, backward_arcs
-from .network import StPath
 
 SCHEMA = "rainbow/1"
 
@@ -144,7 +142,7 @@ def network_family_from_json(payload: Any) -> NetworkFamily:
         sets.append(frozenset(arcs))
     arcs = frozenset().union(*sets) if sets else frozenset()
     try:
-        net = Network(inner=inner, arcs=arcs, source=SOURCE, target=TARGET)
+        net = Network(inner=inner, arcs=arcs)
         return NetworkFamily(net, tuple(sets))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -231,10 +229,10 @@ def regimentation_from_certificate(payload: Any) -> Regimentation:
 
 # -- DOT export ---------------------------------------------------------------
 
-def _dot_id(net: Network, v) -> str:
-    if v == net.source:
+def _dot_id(v) -> str:
+    if v == SOURCE:
         return "s"
-    if v == net.target:
+    if v == TARGET:
         return "t"
     if isinstance(v, tuple):
         return f"e_{v[0]}_{v[1]}"
@@ -258,12 +256,12 @@ def network_dot(net: Network, nf: NetworkFamily | None = None,
     lines = ["digraph network {", "  rankdir=LR;"]
     lines.append('  s [shape=circle, label="s"];')
     for v in net.inner:
-        lines.append(f'  {_dot_id(net, v)} [shape=box, label="{_dot_label(v)}"];')
+        lines.append(f'  {_dot_id(v)} [shape=box, label="{_dot_label(v)}"];')
     lines.append('  t [shape=circle, label="t"];')
     for u, v in net.sorted_arcs():
         attrs = ""
         if (u, v) in backward:
             attrs = ' [style=dashed, color=crimson, xlabel="backward"]'
-        lines.append(f"  {_dot_id(net, u)} -> {_dot_id(net, v)}{attrs};")
+        lines.append(f"  {_dot_id(u)} -> {_dot_id(v)}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .core import (BipartiteGraph, EdgeFamily, RainbowMatching,
                    cooperative_condition, is_valid_rainbow, max_matching,
                    rainbow_matching_max)
-from .network import (RectifyCycle, RepresentationClash, alternating_from_edges,
+from .network import (TARGET, RectifyCycle, RepresentationClash,
+                      alternating_from_edges,
                       augment, build_network, path_to_alternating,
                       rectify_double_representation)
 from .dichotomy import TheoremViolation, path_or_certificate
@@ -274,7 +275,7 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
     walk_ids = pool[:len(tail_arcs)]
     edges = [ax]
     for (u, w), member_id in zip(tail_arcs, walk_ids):
-        if w == net.target:
+        if w == TARGET:
             pos = nf.origin.index(member_id) + 1
             witnesses = nf.preimages.get((pos, (u, w)), frozenset())
             if not witnesses:

@@ -131,10 +131,10 @@ def brute_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None
     containing it.  Unlike the package's build, this finds a certificate
     whenever one exists, rainbow path or not."""
     if not net.inner:
-        return Regimentation((StPath((net.source, net.target)),), {})
+        return Regimentation((StPath((SOURCE, TARGET)),), {})
     members = range(1, len(nf) + 1)
     for system in _ordered_partitions(net.inner):
-        paths = [StPath((net.source, *block, net.target)) for block in system]
+        paths = [StPath((SOURCE, *block, TARGET)) for block in system]
         pools = [[m for m in members if set(q.arcs) <= nf.member(m)]
                  for q in paths]
         choices = [itertools.combinations(pool, len(q.arcs) - 1)
@@ -180,27 +180,27 @@ def naive_st_paths(arcs, net: Network):
         out.setdefault(u, []).append(v)
     for u in out:
         out[u].sort(key=net.rank)
-    trail = [net.source]
+    trail = [SOURCE]
 
     def walk(u):
         for v in out.get(u, ()):
-            if v == net.target:
+            if v == TARGET:
                 yield StPath(tuple(trail) + (v,))
             elif v not in trail:
                 trail.append(v)
                 yield from walk(v)
                 trail.pop()
 
-    yield from walk(net.source)
+    yield from walk(SOURCE)
 
 
 def naive_greedy_rainbow_tree(net: Network, nf: NetworkFamily):
     """Rainbow tree grown by scanning every (unused member, arc) pair for
     the least (member position, arc rank) that leaves the tree."""
     parent: dict = {}
-    tree = {net.source}
+    tree = {SOURCE}
     used: set[int] = set()
-    while net.target not in tree:
+    while TARGET not in tree:
         best = None
         for pos in range(1, len(nf) + 1):
             if pos in used:
@@ -218,9 +218,9 @@ def naive_greedy_rainbow_tree(net: Network, nf: NetworkFamily):
         parent[v] = (u, pos)
         tree.add(v)
         used.add(pos)
-    verts = [net.target]
+    verts = [TARGET]
     reps = []
-    while verts[-1] != net.source:
+    while verts[-1] != SOURCE:
         up, member = parent[verts[-1]]
         reps.append(member)
         verts.append(up)

@@ -79,10 +79,51 @@ def test_env_seed_must_be_an_integer(capsys, monkeypatch, value):
     assert "RAINBOW_SEED" in err
 
 
+_DRISKO2 = ("gen", "--family", "drisko", "--n", "2")
+
+
+@pytest.mark.parametrize("argv, env", [
+    ((*_DRISKO2, "--seed", "0_7"), None),
+    ((*_DRISKO2, "--seed", "+7"), None),
+    ((*_DRISKO2, "--seed", " 7 "), None),
+    ((*_DRISKO2, "--seed", "\u0667"), None),                # Arabic-Indic 7
+    (("gen", "--family", "drisko", "--n", "\u0662", "--seed", "0_7"), None),
+    (("gen", "--family", "sharpness", "--n", "2", "--k", "2.0"), None),
+    (("solve", "--input", "x.json", "--n", "2", "--k", "-"), None),
+    (("check", "--input", "x.json", "--m", "1e1", "--k", "2", "--n", "2",
+      "--q", "1"), None),
+    (("check", "--input", "x.json", "--m", "3", "--k", "2", "--n", "2",
+      "--q", "--1"), None),
+    (("search", "--conjecture", "c4.1", "--budget", "1_000"), None),
+    (_DRISKO2, " +7 "),
+    (_DRISKO2, "\u0667"),
+    (_DRISKO2, "0_7"),
+])
+def test_integers_are_plain_ascii_decimals(capsys, monkeypatch, argv, env):
+    # int() alone would read every one of these, most of them as 7
+    if env is not None:
+        monkeypatch.setenv("RAINBOW_SEED", env)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:   # argparse usage error
+        code = exc.code
+    assert code == 64
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_seed_still_parses(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, *_DRISKO2, "--seed", "-3")
+    assert code == 0 and out
+    monkeypatch.setenv("RAINBOW_SEED", "-3")
+    assert run_cli(capsys, *_DRISKO2) == (0, out, "")
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "--conjecture", "c4.1", "--k", "0"),
     ("gen", "--family", "sharpness", "--n", "1", "--k", "2"),
     ("gen", "--family", "drisko", "--n", "0"),
+    ("search", "--conjecture", "c4.1", "--budget", "-5"),
+    ("search", "--conjecture", "c4.1", "--budget", "-5", "--exhaustive"),
 ])
 def test_out_of_range_parameters_exit_65(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

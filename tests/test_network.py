@@ -1,19 +1,21 @@
+import dataclasses
 import random
 
 import pytest
 
-from rainbowmatch import (AlternatingPath, BipartiteGraph,
+import rainbowmatch
+from rainbowmatch import (SOURCE, TARGET, AlternatingPath, BipartiteGraph,
                           Network, NetworkFamily, PreimageError,
                           RainbowMatching, RectifyCycle, RepresentationClash,
                           StPath, alternating_from_edges, augment,
-                          build_network, contract_source_edge, has_st_path,
-                          path_to_alternating, rectify_double_representation,
-                          st_paths, uncontract_path)
+                          build_network, has_st_path, path_to_alternating,
+                          rectify_double_representation)
+from rainbowmatch.network import _rank_paths
 
 from rainbowmatch.generators import random_cooperative_family
 
 from .helpers import (all_arcs_over, family_on, has_augmenting_path,
-                      naive_build_network)
+                      naive_build_network, naive_st_paths)
 
 K22 = BipartiteGraph.complete(2)
 K33 = BipartiteGraph.complete(3)
@@ -41,6 +43,26 @@ def test_st_path_validation():
     p = StPath(("s", "v", "t"))
     assert p.arcs == (("s", "v"), ("v", "t"))
     assert p.interior == ("v",)
+
+
+def test_network_surface_has_one_source_and_target():
+    assert [f.name for f in dataclasses.fields(Network)] == ["inner", "arcs"]
+    net = Network(inner=("v",), arcs={("s", "v"), ("v", "t")})
+    sets = (frozenset({("s", "v")}),)
+    with pytest.raises(TypeError):
+        NetworkFamily(net, sets, preimages={})
+    nf = NetworkFamily(net, sets)
+    assert nf.preimages is None and nf.origin is None
+    for gone in ("contract_source_edge", "uncontract_path", "st_paths",
+                 "check_exchange_lemma", "is_st_path"):
+        assert not hasattr(rainbowmatch, gone)
+        assert gone not in rainbowmatch.__all__
+    names = rainbowmatch.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(rainbowmatch, name) for name in names)
+    for label in (SOURCE, TARGET):
+        with pytest.raises(ValueError):
+            Network(inner=(label,), arcs=frozenset())
 
 
 def test_network_family_requires_ambient_arcs():
@@ -214,74 +236,6 @@ def test_rectify_requires_double_representation():
                          run_edges=((1, 2),), run_members=(6,)))
 
 
-def test_contract_source_edge_examples():
-    def nf_over(*sets):
-        arcs = frozenset().union(*sets)
-        inner = ("x", "u", "v")
-        return NetworkFamily(Network(inner=inner, arcs=arcs), tuple(map(frozenset, sets)))
-
-    nf = nf_over({("s", "x"), ("x", "t"), ("u", "v")})
-    out = contract_source_edge(nf, "x")
-    assert out.sets == (frozenset({("s'", "t"), ("u", "v")}),)
-    assert out.network.source == "s'"
-    assert out.network.inner == ("u", "v")
-
-    nf = nf_over({("s", "x")}, {("u", "x")})
-    out = contract_source_edge(nf, "x")
-    assert out.sets == (frozenset(), frozenset())
-
-    nf = nf_over({("s", "x")}, {("s", "u")})
-    out = contract_source_edge(nf, "x")
-    assert out.sets[1] == {("s'", "u")}
-
-    with pytest.raises(ValueError):
-        contract_source_edge(nf, "w")
-
-
-def test_contract_drops_exactly_one_inner_vertex():
-    rng = random.Random(7)
-    for _ in range(40):
-        inner = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
-        pool = [(u, w) for u in ("s", *inner) for w in (*inner, "t") if u != w]
-        sets = [frozenset(e for e in pool if rng.random() < 0.5) for _ in range(3)]
-        x = rng.choice(inner)
-        sets[0] = sets[0] | {("s", x)}
-        nf = NetworkFamily(Network(inner=inner, arcs=frozenset().union(*sets)),
-                           tuple(sets))
-        out = contract_source_edge(nf, x)
-        assert len(out.network.inner) == len(inner) - 1
-
-
-def test_uncontract_path_variants():
-    q = StPath(("s'", "y", "t"))
-    assert uncontract_path(q, 1, "x").vertices == ("s", "y", "t")
-    assert uncontract_path(q, 2, "x").vertices == ("s", "x", "y", "t")
-    assert uncontract_path(StPath(("s'", "t")), 2, "x").vertices == ("s", "x", "t")
-
-
-def _contract_arcs(arcs, x, source="s", new_source="s'"):
-    out = set()
-    for u, v in arcs:
-        if v == x:
-            continue
-        if u == source or u == x:
-            out.add((new_source, v))
-        else:
-            out.add((u, v))
-    return out
-
-
-def test_uncontract_then_contract_restores_arcs():
-    rng = random.Random(3)
-    for _ in range(60):
-        inner = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
-        x = "x"
-        rest = rng.sample(inner, rng.randint(0, len(inner)))
-        q = StPath(("s'", *rest, "t"))
-        expanded = uncontract_path(q, 2, x)
-        assert _contract_arcs(expanded.arcs, x) == set(q.arcs)
-
-
 def test_round_trip_path_existence():
     # network paths exist exactly when the matching is augmentable
     rng = random.Random(11)
@@ -296,7 +250,7 @@ def test_round_trip_path_existence():
             fam = family_on(K33, *sets)
             net, nf = build_network(K33, fam, rm)
             pos = len(nf)  # the free member is always last
-            network_side = has_st_path(nf.member(pos), net.source, net.target)
+            network_side = has_st_path(nf.member(pos), SOURCE, TARGET)
             graph_side = has_augmenting_path(member, matched)
             assert network_side == graph_side
 
@@ -305,9 +259,13 @@ def test_st_paths_enumeration_is_lexicographic():
     net = Network(inner=("u", "v"),
                   arcs={("s", "u"), ("s", "v"), ("u", "v"), ("u", "t"),
                         ("v", "t"), ("s", "t")})
-    found = [p.vertices for p in st_paths(net.arcs, net)]
-    assert found == [("s", "u", "v", "t"), ("s", "u", "t"), ("s", "v", "t"),
-                     ("s", "t")]
+    expected = [("s", "u", "v", "t"), ("s", "u", "t"), ("s", "v", "t"),
+                ("s", "t")]
+    # the order exhaustive_rainbow_path and find_regimentation rely on
+    found = [net._path(ranks).vertices
+             for ranks in _rank_paths(net._mask_over(net.arcs), net._size)]
+    assert found == expected
+    assert [p.vertices for p in naive_st_paths(net.arcs, net)] == expected
 
 
 def test_alternating_from_edges_validates_links():

@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
-from rainbowmatch import (Network, Regimentation, StPath, backward_arcs,
-                          check_exchange_lemma, check_structure_lemmas,
+from rainbowmatch import (Network, NetworkFamily, Regimentation, StPath,
+                          backward_arcs, check_structure_lemmas,
                           exhaustive_rainbow_path, find_regimentation,
-                          st_paths, useless_arcs, verify_regimentation)
+                          useless_arcs, verify_regimentation)
 
-from .helpers import abstract_family, all_arcs_over, brute_regimentation
+from .helpers import (abstract_family, all_arcs_over, brute_regimentation,
+                      naive_st_paths)
 
 
 def test_backward_arcs_examples():
@@ -204,6 +206,45 @@ def test_structure_lemmas_require_verified_certificate():
         check_structure_lemmas(nf.network, nf, broken)
 
 
+def check_exchange_lemma(nf_g: NetworkFamily, nf_h: NetworkFamily,
+                         r_g: Regimentation, r_h: Regimentation) -> bool:
+    """Swap-stability of certificates under exchanging a single member.
+
+    The two families must differ by exactly one member in each direction
+    (multiset difference), both certificates must verify, and neither
+    family may have a rainbow source-target path.  Passes when the swapped
+    members are both inessential, or both essential with the same assigned
+    path.
+    """
+    if nf_g.network != nf_h.network:
+        raise ValueError("families must live over the same network")
+    count_g = Counter(nf_g.sets)
+    count_h = Counter(nf_h.sets)
+    only_g = list((count_g - count_h).elements())
+    only_h = list((count_h - count_g).elements())
+    if len(only_g) != 1 or len(only_h) != 1:
+        raise ValueError("families must differ in exactly one member each way")
+    g_set, h_set = only_g[0], only_h[0]
+    for nf, r in ((nf_g, r_g), (nf_h, r_h)):
+        if verify_regimentation(nf.network, nf, r) is not None:
+            raise ValueError("a certificate does not verify")
+        if exhaustive_rainbow_path(nf.network, nf) is not None:
+            raise ValueError("a family still has a rainbow source-target path")
+
+    def essential_path(nf: NetworkFamily, r: Regimentation, content) -> StPath | None:
+        positions = [i for i in range(1, len(nf) + 1) if nf.member(i) == content]
+        for i in positions:
+            if i in r.assignment:
+                return r.paths[r.assignment[i]]
+        return None
+
+    path_g = essential_path(nf_g, r_g, g_set)
+    path_h = essential_path(nf_h, r_h, h_set)
+    if path_g is None and path_h is None:
+        return True
+    return path_g is not None and path_h is not None and path_g == path_h
+
+
 SPINE = frozenset({("s", "u"), ("u", "v"), ("v", "t")})
 FULL2 = all_arcs_over(("u", "v"))
 
@@ -255,7 +296,7 @@ def test_only_path_pruning_property():
         pool = all_arcs_over(inner)
         arcs = frozenset(a for a in pool if rng.random() < 0.5)
         net = Network(inner=inner, arcs=arcs)
-        paths = list(st_paths(arcs, net))
+        paths = list(naive_st_paths(arcs, net))
         for q in paths[:6]:
             if not q.interior:
                 continue

@@ -96,6 +96,14 @@ def test_search_validates_arguments():
                           budget=10_000, exhaustive=True)
 
 
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_search_refuses_negative_budget(exhaustive):
+    # a sampled search used to report "no counterexample" on 0 instances
+    with pytest.raises(ValueError):
+        conjecture_search("c4.1", k=2, graph=K22, budget=-5, exhaustive=exhaustive)
+    assert conjecture_search("c4.1", k=2, graph=K22, budget=0).instances == 0
+
+
 def test_search_counterexample_detection_on_planted_instance():
     # feed the checker a family violating the graded bound on purpose, via
     # a tiny graph where the conjecture's premise cannot be met: k = 2 on a
