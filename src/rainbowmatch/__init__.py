@@ -10,11 +10,9 @@ counterexample-search harness.
 from .core import (BipartiteGraph, Edge, EdgeFamily, Matching,
                    RainbowMatching, cooperative_condition, is_valid_rainbow,
                    matching_number, max_matching, rainbow_matching_max)
-from .network import (SOURCE, TARGET, AlternatingPath, BoundExceeded, Network,
-                      NetworkFamily, PreimageError, RectifyCycle,
-                      RepresentationClash, StPath, alternating_from_edges,
-                      augment, build_network, has_st_path,
-                      path_to_alternating, rectify_double_representation)
+from .network import (SOURCE, TARGET, BoundExceeded, Network, NetworkFamily,
+                      RepresentationClash, StPath, augment, build_network,
+                      has_st_path)
 from .paths import (GreedyStuck, RainbowStPath, exhaustive_rainbow_path,
                     greedy_rainbow_tree, verify_rainbow_path)
 from .regiment import (Regimentation, StructureLemmaReport, backward_arcs,
@@ -35,10 +33,9 @@ __all__ = [
     "BipartiteGraph", "Edge", "EdgeFamily", "Matching", "RainbowMatching",
     "cooperative_condition", "is_valid_rainbow", "matching_number",
     "max_matching", "rainbow_matching_max",
-    "SOURCE", "TARGET", "AlternatingPath", "BoundExceeded", "Network",
-    "NetworkFamily", "PreimageError", "RectifyCycle", "RepresentationClash",
-    "StPath", "alternating_from_edges", "augment", "build_network",
-    "has_st_path", "path_to_alternating", "rectify_double_representation",
+    "SOURCE", "TARGET", "BoundExceeded", "Network", "NetworkFamily",
+    "RepresentationClash", "StPath", "augment", "build_network",
+    "has_st_path",
     "GreedyStuck", "RainbowStPath", "exhaustive_rainbow_path",
     "greedy_rainbow_tree", "verify_rainbow_path",
     "Regimentation", "StructureLemmaReport", "backward_arcs",

@@ -18,6 +18,14 @@ def _as_edge(e: Iterable[int]) -> Edge:
     return (int(a), int(b))
 
 
+def _require_ints(values: Iterable, what: str) -> None:
+    """Refuse any value that is not an int: int() would read a float or a
+    bool as another integer."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be an int, got {x!r}")
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Bipartite graph on sides A = {1..left_size} and B = {1..right_size}.

@@ -4,8 +4,9 @@ A network built over a matching has the matching's edges as inner
 vertices; each non-matching graph edge of a family member turns into an
 arc, and source-target paths correspond to augmenting alternating paths.
 The source and target are always SOURCE ("s") and TARGET ("t").  The
-module also implements the symmetric-difference augmentation and the
-repair of a doubly represented candidate.
+module also holds the exchange every constructive step makes: drop
+matched edges, add (member, edge) pairs, refuse a doubly represented
+member; augment is that exchange along an augmenting path.
 
 Inside, vertices are their ranks (source 0, inner vertices 1..r, target
 r + 1) and arc (u, v) is bit rank(u) * |V| + rank(v) of an integer mask,
@@ -23,7 +24,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .core import (Edge, BipartiteGraph, EdgeFamily, RainbowMatching,
-                   _as_edge, is_valid_rainbow)
+                   _as_edge, _require_ints, is_valid_rainbow)
 
 SOURCE = "s"
 TARGET = "t"
@@ -38,15 +39,11 @@ class BoundExceeded(RuntimeError):
     """Exhaustive search refused: the instance is above the size bound."""
 
 
-class PreimageError(ValueError):
-    """An arc has no recorded graph-edge witness for the chosen member."""
-
-
-class RepresentationClash(Exception):
+class RepresentationClash(ValueError):
     """Two edges would represent the same member.
 
-    Carries the raw (member, edge) pairs so the caller can repair the
-    candidate with rectify_double_representation.
+    Carries the raw (member, edge) pairs of the refused candidate, so the
+    caller can repair it with a further exchange.
     """
 
     def __init__(self, member: int, pairs: Sequence[tuple[int, Edge]]):
@@ -377,194 +374,54 @@ def build_network(g: BipartiteGraph, fam: EdgeFamily,
     return net, nf
 
 
-@dataclass(frozen=True)
-class AlternatingPath:
-    """Path in the bipartite graph with vertices tagged ("A", i) or ("B", j).
+def _exchange(pairs: Iterable[tuple[int, Edge]], drop: Iterable[Edge],
+              add: Iterable[tuple[int, Edge]]) -> RainbowMatching:
+    """The rainbow matching left when the edges in drop leave pairs and
+    the (member, edge) pairs in add join them.
 
-    Sides alternate; edges at even positions are the non-matching ones when
-    the path augments a matching.
+    Every constructive move is one such exchange.  A member that would be
+    represented twice raises RepresentationClash, carrying the candidate
+    pairs; a result that is not a matching raises ValueError.
     """
-
-    vertices: tuple
-
-    def __post_init__(self) -> None:
-        verts = tuple((str(side), int(i)) for side, i in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise ValueError("an alternating path needs at least two vertices")
-        if len(set(verts)) != len(verts):
-            raise ValueError("an alternating path may not repeat a vertex")
-        for (s1, _), (s2, _) in zip(verts, verts[1:]):
-            if s1 not in ("A", "B") or s2 not in ("A", "B") or s1 == s2:
-                raise ValueError("sides must alternate between A and B")
-
-    def edges(self) -> tuple[Edge, ...]:
-        out = []
-        for (s1, i1), (_, i2) in zip(self.vertices, self.vertices[1:]):
-            out.append((i1, i2) if s1 == "A" else (i2, i1))
-        return tuple(out)
-
-    def new_edges(self) -> tuple[Edge, ...]:
-        return self.edges()[0::2]
-
-    def matched_edges(self) -> tuple[Edge, ...]:
-        return self.edges()[1::2]
+    add = list(add)
+    _require_ints([i for i, _ in add], "a member id")
+    drop = set(drop)
+    out = sorted(p for p in pairs if p[1] not in drop) + add
+    counts = Counter(i for i, _ in out)
+    doubled = sorted(i for i, c in counts.items() if c > 1)
+    if doubled:
+        raise RepresentationClash(doubled[0], out)
+    return RainbowMatching(dict(out))
 
 
-def alternating_from_edges(edges: Sequence[Edge],
-                           rm: RainbowMatching) -> AlternatingPath:
-    """Assemble the alternating path whose non-matching edges are the given
-    sequence, consecutive ones linked through rm's matching edges.
+def augment(rm: RainbowMatching, edges: Sequence[Edge],
+            members: Sequence[int]) -> RainbowMatching:
+    """Toggle the augmenting path whose non-matching edges are edges, in
+    path order, consecutive ones joined through rm's matching edges.
 
-    Validates that the walk starts at an unmatched A-vertex, ends at an
-    unmatched B-vertex, and that each link is an actual matching edge.
+    members[j] represents edges[j]; a member whose matching edge the path
+    drops loses its representation.  The path must run from an unmatched
+    A-vertex to an unmatched B-vertex and the result is one edge larger.
+    A member represented twice raises RepresentationClash.
     """
+    edges = [_as_edge(e) for e in edges]
     if not edges:
         raise ValueError("need at least one edge")
-    edges = [_as_edge(e) for e in edges]
+    if len(members) != len(edges):
+        raise ValueError("need exactly one member per new edge")
     matched = rm.matching().edges
-    a_owner = {e[0]: e for e in matched}
     b_owner = {e[1]: e for e in matched}
-    if edges[0][0] in a_owner:
-        raise ValueError("path must start at an unmatched A-vertex")
-    if edges[-1][1] in b_owner:
-        raise ValueError("path must end at an unmatched B-vertex")
+    if edges[0][0] in {e[0] for e in matched} or edges[-1][1] in b_owner:
+        raise ValueError("path endpoints must be unmatched")
+    links = []
     for prev, nxt in zip(edges, edges[1:]):
         link = b_owner.get(prev[1])
         if link is None or link[0] != nxt[0]:
             raise ValueError("consecutive edges are not joined by a matching edge")
-    verts = []
-    for a, b in edges:
-        verts.extend([("A", a), ("B", b)])
-    return AlternatingPath(tuple(verts))
-
-
-def path_to_alternating(p: StPath, nf: NetworkFamily, rep: Mapping[int, int],
-                        rm: RainbowMatching,
-                        chosen: Mapping[int, Edge] | None = None) -> AlternatingPath:
-    """Translate a source-target path into an augmenting alternating path.
-
-    rep maps each arc position (0-based) of p to the 1-based member
-    position owning that arc.  The graph edge realizing an arc defaults to
-    the lexicographically least recorded preimage and can be pinned per
-    position through chosen.
-    """
-    arcs = p.arcs
-    if sorted(rep) != list(range(len(arcs))):
-        raise ValueError("rep must cover every arc position exactly once")
-    members = list(rep.values())
-    if len(set(members)) != len(members):
-        raise ValueError("rep must use pairwise distinct members")
-    if nf.preimages is None:
-        raise PreimageError("family has no recorded preimages")
-    edges = []
-    for j, arc in enumerate(arcs):
-        pool = nf.preimages.get((rep[j], arc), frozenset())
-        if not pool:
-            raise PreimageError(f"no preimage recorded for member {rep[j]} on arc {arc}")
-        if chosen is not None and j in chosen:
-            e = _as_edge(chosen[j])
-            if e not in pool:
-                raise PreimageError(f"edge {e} is not a recorded preimage of arc {arc}")
-        else:
-            e = min(pool)
-        edges.append(e)
-    return alternating_from_edges(edges, rm)
-
-
-def augment(rm: RainbowMatching, alt: AlternatingPath,
-            new_reps: Sequence[int]) -> RainbowMatching:
-    """Symmetric difference of rm's matching with an augmenting path.
-
-    new_reps lists, in path order, the member represented by each new edge.
-    Members whose matching edge disappears lose their representation.  The
-    result is one edge larger; if some member would end up represented
-    twice a RepresentationClash is raised, carrying the candidate pairs so
-    the caller can rectify first.
-    """
-    edges = alt.edges()
-    if len(edges) % 2 == 0:
-        raise ValueError("an augmenting path has an odd number of edges")
-    new, old = edges[0::2], edges[1::2]
-    matched = rm.matching().edges
-    if not set(old) <= matched:
-        raise ValueError("every other edge must belong to the matching")
-    if set(new) & matched:
+        links.append(link)
+    if set(edges) & matched:
         raise ValueError("new edges must avoid the matching")
-    side0, i0 = alt.vertices[0]
-    side1, i1 = alt.vertices[-1]
-    if side0 != "A" or side1 != "B":
-        raise ValueError("an augmenting path runs from the A-side to the B-side")
-    if i0 in {e[0] for e in matched} or i1 in {e[1] for e in matched}:
-        raise ValueError("path endpoints must be unmatched")
-    reps = tuple(int(i) for i in new_reps)
-    if len(reps) != len(new):
-        raise ValueError("need exactly one representative per new edge")
-    removed = set(old)
-    pairs = [(i, e) for i, e in sorted(rm.assignment.items()) if e not in removed]
-    pairs += list(zip(reps, new))
-    counts = Counter(i for i, _ in pairs)
-    doubled = sorted(i for i, c in counts.items() if c > 1)
-    if doubled:
-        raise RepresentationClash(doubled[0], pairs)
-    result = RainbowMatching(dict(pairs))
+    result = _exchange(rm.assignment.items(), links, zip(members, edges))
     if len(result) != len(rm) + 1:
         raise ValueError("augmentation must grow the matching by exactly one")
     return result
-
-
-@dataclass(frozen=True)
-class RectifyCycle:
-    """Repair cycle for a doubly represented candidate.
-
-    chord joins the A-side of the last matched edge in the run to the
-    B-side of the first one; run_edges[j] bridges matched_run[j] and
-    matched_run[j+1]; run_members represent the run edges after the toggle.
-    """
-
-    chord: Edge
-    chord_member: int
-    matched_run: tuple[Edge, ...]
-    run_edges: tuple[Edge, ...]
-    run_members: tuple[int, ...]
-
-
-def rectify_double_representation(pairs: Sequence[tuple[int, Edge]],
-                                  cycle: RectifyCycle) -> RainbowMatching:
-    """Toggle the repair cycle on a candidate with one doubled member.
-
-    The doubled member keeps only its edge outside the cycle's matched run,
-    which must contain the other copy; size is preserved.
-    """
-    pairs = [(int(i), _as_edge(e)) for i, e in pairs]
-    counts = Counter(i for i, _ in pairs)
-    doubled = sorted(i for i, c in counts.items() if c > 1)
-    if len(doubled) != 1 or counts[doubled[0]] != 2:
-        raise ValueError("exactly one member must be represented exactly twice")
-    run = tuple(_as_edge(e) for e in cycle.matched_run)
-    bridge = tuple(_as_edge(e) for e in cycle.run_edges)
-    chord = _as_edge(cycle.chord)
-    if len(run) < 2 or len(bridge) != len(run) - 1 or len(cycle.run_members) != len(bridge):
-        raise ValueError("cycle data sizes are inconsistent")
-    if chord != (run[-1][0], run[0][1]):
-        raise ValueError("chord does not close the cycle")
-    for j, e in enumerate(bridge):
-        if e != (run[j][0], run[j + 1][1]):
-            raise ValueError("run edge does not bridge its matched pair")
-    held = {e for _, e in pairs}
-    if not set(run) <= held:
-        raise ValueError("the matched run must lie inside the candidate")
-    if ({chord} | set(bridge)) & held:
-        raise ValueError("the cycle's new edges are already present")
-    drop = set(run)
-    out = [(i, e) for i, e in pairs if e not in drop]
-    out.append((int(cycle.chord_member), chord))
-    out.extend((int(i), e) for i, e in zip(cycle.run_members, bridge))
-    after = Counter(i for i, _ in out)
-    if any(c > 1 for c in after.values()):
-        raise ValueError("cycle members collide with surviving representatives")
-    result = RainbowMatching(dict(out))
-    if len(result) != len(pairs):
-        raise ValueError("rectification must preserve the candidate's size")
-    return result
-

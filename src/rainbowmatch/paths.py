@@ -13,6 +13,7 @@ from functools import reduce
 from operator import or_
 from typing import Mapping
 
+from .core import _require_ints
 from .network import (BoundExceeded, Network, NetworkFamily, StPath,
                       _rank_paths, is_st_path)
 
@@ -28,7 +29,8 @@ class RainbowStPath:
     representation: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        rep = {int(j): int(m) for j, m in dict(self.representation).items()}
+        rep = dict(self.representation)
+        _require_ints([*rep, *rep.values()], "an arc position or member")
         object.__setattr__(self, "representation", rep)
         if sorted(rep) != list(range(len(self.path.arcs))):
             raise ValueError("representation must cover every arc position")

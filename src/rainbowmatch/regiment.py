@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
+from .core import _require_ints
 from .network import (SOURCE, TARGET, Network, NetworkFamily, StPath,
                       _mask_has_path, _rank_paths, is_st_path)
 from .paths import exhaustive_rainbow_path
@@ -33,7 +34,9 @@ class Regimentation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", tuple(self.paths))
-        assignment = {int(i): int(p) for i, p in dict(self.assignment).items()}
+        assignment = dict(self.assignment)
+        _require_ints([*assignment, *assignment.values()],
+                      "a member or path index")
         object.__setattr__(self, "assignment", assignment)
 
 

@@ -10,8 +10,7 @@ can reproduce identical instance streams:
     output: z xor (z >> 31)
 
 Bounded draws use rejection sampling so every residue is equally likely;
-shuffles are Fisher-Yates from the top.  split() seeds an independent
-child stream from the next output.
+shuffles are Fisher-Yates from the top.
 """
 
 from __future__ import annotations
@@ -58,6 +57,3 @@ class SplitMix64:
 
     def choice(self, items):
         return items[self.below(len(items))]
-
-    def split(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())

@@ -3,25 +3,22 @@
 Given 2n + k - 3 edge sets (at most k - 2 empty, 1 < k <= n) whose every
 k-union contains a matching of size n, a rainbow matching of size n is
 grown by repeated augmentation: build the network over the current
-matching, search for a rainbow source-target path, translate and apply
-it; when no such path exists the family is regimented and one of the
-local exchange steps applies (representation swap, direct addition,
-cycle exchange, or augment-then-rectify).  The oracle mode and the
+matching, search for a rainbow source-target path and augment along it;
+when no such path exists the family is regimented and one of the local
+exchange steps applies (representation swap, direct addition, cycle
+exchange, or augment-then-rectify).  Every step is one call to
+network.augment or to the exchange it wraps.  The oracle mode and the
 hybrid fallback go through exhaustive search instead.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .core import (BipartiteGraph, EdgeFamily, RainbowMatching,
+from .core import (BipartiteGraph, Edge, EdgeFamily, RainbowMatching,
                    cooperative_condition, is_valid_rainbow, max_matching,
                    rainbow_matching_max)
-from .network import (TARGET, RectifyCycle, RepresentationClash,
-                      alternating_from_edges,
-                      augment, build_network, path_to_alternating,
-                      rectify_double_representation)
+from .network import RepresentationClash, _exchange, augment, build_network
 from .dichotomy import TheoremViolation, path_or_certificate
 from .paths import RainbowStPath
 
@@ -123,16 +120,20 @@ def _constructive(g: BipartiteGraph, fam: EdgeFamily, k: int, n: int,
             raise ConstructiveStall(f"iteration budget {budget} exhausted")
         net, nf = build_network(g, fam, rm)
         found = path_or_certificate(net, nf)
-        if isinstance(found, RainbowStPath):
-            nxt = _augment_via_path(found, nf, rm, trail)
-        else:
-            if len(nf) != len(net.inner) + k - 1:
-                raise ConstructiveStall(
-                    "no rainbow path although the family exceeds the critical size")
-            if isinstance(found, TheoremViolation):
-                raise ConstructiveStall(
-                    "neither rainbow path nor regimentation certificate")
-            nxt = _regimented_step(g, fam, n, rm, net, nf, found, trail)
+        try:
+            if isinstance(found, RainbowStPath):
+                nxt = _augment_via_path(found, nf, rm, trail)
+            else:
+                if len(nf) != len(net.inner) + k - 1:
+                    raise ConstructiveStall(
+                        "no rainbow path although the family exceeds the critical size")
+                if isinstance(found, TheoremViolation):
+                    raise ConstructiveStall(
+                        "neither rainbow path nor regimentation certificate")
+                nxt = _regimented_step(g, fam, n, rm, net, nf, found, trail)
+        except ValueError as exc:
+            # augment or the exchange refused the step, clash included
+            raise ConstructiveStall(f"step refused: {exc}") from exc
         if len(nxt) not in (len(rm), len(rm) + 1):
             raise ConstructiveStall("a step broke the monotone size invariant")
         if not is_valid_rainbow(fam, nxt):
@@ -141,17 +142,28 @@ def _constructive(g: BipartiteGraph, fam: EdgeFamily, k: int, n: int,
     return rm
 
 
+def _witness(nf, pos: int, arc) -> Edge:
+    """The least graph edge of member position pos that maps onto arc."""
+    witnesses = nf.preimages.get((pos, arc))
+    if not witnesses:
+        raise ConstructiveStall(f"member position {pos} has no edge on arc {arc}")
+    return min(witnesses)
+
+
 def _augment_via_path(found, nf, rm: RainbowMatching,
                       trail: list | None) -> RainbowMatching:
-    """Translate a rainbow source-target path and apply it.
+    """Augment along a rainbow source-target path, each arc realized by
+    its member's least edge on it.
 
     New edges represent previously unrepresented members, so no clash is
     possible on this route.
     """
-    rep = dict(found.representation)
-    member_ids = [nf.origin[rep[j] - 1] for j in range(len(found.path.arcs))]
-    alt = path_to_alternating(found.path, nf, rep, rm)
-    result = augment(rm, alt, member_ids)
+    edges, member_ids = [], []
+    for j, arc in enumerate(found.path.arcs):
+        pos = found.representation[j]
+        edges.append(_witness(nf, pos, arc))
+        member_ids.append(nf.origin[pos - 1])
+    result = augment(rm, edges, member_ids)
     _log(trail, {"op": "augment", "path": [list(v) if isinstance(v, tuple) else v
                                            for v in found.path.vertices],
                  "members": member_ids, "size": len(result)})
@@ -188,13 +200,10 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
         if f not in represented_by:
             raise ConstructiveStall(
                 "inessential member holds a non-matching edge unexpectedly")
-        s0 = represented_by[f]
-        assignment = dict(rm.assignment)
-        del assignment[s0]
-        assignment[s1] = f
-        _log(trail, {"op": "swap", "edge": list(f), "freed": s0,
-                     "represents": s1, "size": len(rm)})
-        return RainbowMatching(assignment)
+        result = _exchange(rm.assignment.items(), [f], [(s1, f)])
+        _log(trail, {"op": "swap", "edge": list(f), "freed": represented_by[f],
+                     "represents": s1, "size": len(result)})
+        return result
 
     # least inessential arc that runs backward along a certificate path;
     # every inessential arc is backward when no rainbow path exists
@@ -205,7 +214,7 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
                 spots = {v: i for i, v in enumerate(q.vertices)}
                 if arc[0] in spots and arc[1] in spots \
                         and spots[arc[1]] < spots[arc[0]]:
-                    found = (pos, arc, index, spots[arc[1]], spots[arc[0]])
+                    found = (pos, index, spots[arc[1]], spots[arc[0]])
                     break
             if found:
                 break
@@ -213,13 +222,13 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
             break
     if found is None:
         raise ConstructiveStall("no inessential arc runs backward on a certificate path")
-    owner_pos, pq, back_index, lo, hi = found
-    back_path = reg.paths[back_index]
-    owner_id = nf.origin[owner_pos - 1]
-    p_edge, q_edge = pq
-    sp = represented_by[p_edge]
-    run = list(back_path.vertices[lo:hi + 1])
-    run_edges = [(run[i][0], run[i + 1][1]) for i in range(len(run) - 1)]
+    owner_pos, back_index, lo, hi = found
+    # the matched run from the backward arc's head to its tail, closed into
+    # a cycle by the arc's own edge (the chord) and one bridge per step
+    run = reg.paths[back_index].vertices[lo:hi + 1]
+    chord = (nf.origin[owner_pos - 1], (run[-1][0], run[0][1]))
+    bridges = [(run[i][0], run[i + 1][1]) for i in range(len(run) - 1)]
+    sp = represented_by[run[-1]]
 
     union_ids = sorted(set(ie_ids) | {sp})
     big = max_matching(g, fam.union(union_ids))
@@ -234,26 +243,19 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
         # ax is directly addable
         direct = next((i for i in sorted(ie_ids) if ax in fam.member(i)), None)
         if direct is not None:
-            assignment = dict(rm.assignment)
-            assignment[direct] = ax
+            result = _exchange(rm.assignment.items(), [], [(direct, ax)])
             _log(trail, {"op": "augment-direct", "edge": list(ax),
-                         "represents": direct, "size": len(rm) + 1})
-            return RainbowMatching(assignment)
+                         "represents": direct, "size": len(result)})
+            return result
         if ax not in fam.member(sp):
             raise ConstructiveStall("union matching edge escaped its members")
         # exchange the certificate-path run between the backward arc's ends,
         # freeing sp's edge so ax can represent sp
         pool = _certificate_pool(reg, nf, back_index)
-        if len(run_edges) > len(pool):
+        if len(bridges) > len(pool):
             raise ConstructiveStall("certificate lacks members for the exchange run")
-        pairs = [(i, e) for i, e in sorted(rm.assignment.items())
-                 if e not in set(run)]
-        pairs += [(sp, ax), (owner_id, (p_edge[0], q_edge[1]))]
-        pairs += list(zip(pool[:len(run_edges)], run_edges))
-        counts = Counter(i for i, _ in pairs)
-        if any(c > 1 for c in counts.values()):
-            raise ConstructiveStall("exchange produced a representation clash")
-        result = RainbowMatching(dict(pairs))
+        result = _exchange(rm.assignment.items(), run,
+                           [(sp, ax), chord, *zip(pool, bridges)])
         _log(trail, {"op": "augment-exchange", "edge": list(ax),
                      "run": [list(e) for e in run], "size": len(result)})
         return result
@@ -262,42 +264,29 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
     h = b_owner[x]
     if ax not in fam.member(sp):
         raise ConstructiveStall("source-arc witness escaped the doubled member")
-    walk_path = next((q for q in reg.paths if h in q.vertices), None)
-    if walk_path is None:
+    walk_index = next((i for i, q in enumerate(reg.paths) if h in q.vertices), None)
+    if walk_index is None:
         raise ConstructiveStall("matched edge missing from the certificate cover")
-    walk_index = reg.paths.index(walk_path)
-    start = walk_path.vertices.index(h)
-    tail = walk_path.vertices[start:]
+    tail = reg.paths[walk_index].vertices
+    tail = tail[tail.index(h):]
     tail_arcs = list(zip(tail, tail[1:]))
     pool = _certificate_pool(reg, nf, walk_index)
     if len(tail_arcs) > len(pool):
         raise ConstructiveStall("certificate lacks members to represent the walk")
     walk_ids = pool[:len(tail_arcs)]
-    edges = [ax]
-    for (u, w), member_id in zip(tail_arcs, walk_ids):
-        if w == TARGET:
-            pos = nf.origin.index(member_id) + 1
-            witnesses = nf.preimages.get((pos, (u, w)), frozenset())
-            if not witnesses:
-                raise ConstructiveStall("missing preimage for the closing arc")
-            edges.append(min(witnesses))
-        else:
-            edges.append((u[0], w[1]))
-    alt = alternating_from_edges(edges, rm)
+    edges = [ax] + [_witness(nf, nf.origin.index(i) + 1, arc)
+                    for arc, i in zip(tail_arcs, walk_ids)]
     try:
-        result = augment(rm, alt, [sp] + walk_ids)
+        result = augment(rm, edges, [sp] + walk_ids)
         _log(trail, {"op": "augment", "edge": list(ax),
                      "members": [sp] + walk_ids, "size": len(result)})
         return result
     except RepresentationClash as clash:
         pool = [i for i in _certificate_pool(reg, nf, back_index)
                 if i not in set(walk_ids)]
-        if len(run_edges) > len(pool):
+        if len(bridges) > len(pool):
             raise ConstructiveStall("certificate lacks members for the repair cycle")
-        cycle = RectifyCycle(chord=(p_edge[0], q_edge[1]), chord_member=owner_id,
-                             matched_run=tuple(run), run_edges=tuple(run_edges),
-                             run_members=tuple(pool[:len(run_edges)]))
-        result = rectify_double_representation(clash.pairs, cycle)
+        result = _exchange(clash.pairs, run, [chord, *zip(pool, bridges)])
         _log(trail, {"op": "rectify", "doubled": clash.member,
                      "run": [list(e) for e in run], "size": len(result)})
         return result

@@ -4,13 +4,12 @@ import random
 import pytest
 
 import rainbowmatch
-from rainbowmatch import (SOURCE, TARGET, AlternatingPath, BipartiteGraph,
-                          Network, NetworkFamily, PreimageError,
-                          RainbowMatching, RectifyCycle, RepresentationClash,
-                          StPath, alternating_from_edges, augment,
-                          build_network, has_st_path, path_to_alternating,
-                          rectify_double_representation)
-from rainbowmatch.network import _rank_paths
+from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, ConstructiveStall,
+                          Network, NetworkFamily, RainbowMatching,
+                          RainbowStPath, RepresentationClash, StPath, augment,
+                          build_network, has_st_path)
+from rainbowmatch.network import _exchange, _rank_paths
+from rainbowmatch.solver import _augment_via_path, _witness
 
 from rainbowmatch.generators import random_cooperative_family
 
@@ -54,7 +53,10 @@ def test_network_surface_has_one_source_and_target():
     nf = NetworkFamily(net, sets)
     assert nf.preimages is None and nf.origin is None
     for gone in ("contract_source_edge", "uncontract_path", "st_paths",
-                 "check_exchange_lemma", "is_st_path"):
+                 "check_exchange_lemma", "is_st_path", "AlternatingPath",
+                 "alternating_from_edges", "path_to_alternating",
+                 "RectifyCycle", "rectify_double_representation",
+                 "PreimageError"):
         assert not hasattr(rainbowmatch, gone)
         assert gone not in rainbowmatch.__all__
     names = rainbowmatch.__all__
@@ -109,83 +111,79 @@ def test_build_network_rejects_foreign_matching():
         build_network(K22, fam, RainbowMatching({1: (2, 2)}))
 
 
+def _translated(fam, graph, rm, path, rep):
+    """The step _augment_via_path takes: the least witness of each arc and
+    the result of augmenting along them."""
+    _, nf = build_network(graph, fam, rm)
+    p = StPath(path)
+    edges = [_witness(nf, rep[j], arc) for j, arc in enumerate(p.arcs)]
+    trail = []
+    out = _augment_via_path(RainbowStPath(p, rep), nf, rm, trail)
+    assert trail[-1]["members"] == [nf.origin[rep[j] - 1] for j in sorted(rep)]
+    return edges, out
+
+
 def test_path_to_alternating_translation():
     fam = family_on(K22, {(1, 1)}, {(2, 1)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1)})
-    _, nf = build_network(K22, fam, rm)
-    p = StPath(("s", (1, 1), "t"))
-    alt = path_to_alternating(p, nf, {0: 1, 1: 2}, rm)
-    assert alt.vertices == (("A", 2), ("B", 1), ("A", 1), ("B", 2))
-    assert alt.new_edges() == ((2, 1), (1, 2))
-    assert alt.matched_edges() == ((1, 1),)
+    edges, out = _translated(fam, K22, rm, ("s", (1, 1), "t"), {0: 1, 1: 2})
+    assert edges == [(2, 1), (1, 2)]
+    assert out.assignment == {2: (2, 1), 3: (1, 2)}
 
 
 def test_path_to_alternating_single_edge():
     fam = family_on(K22, {(2, 2)})
-    rm = RainbowMatching({})
-    _, nf = build_network(K22, fam, rm)
-    alt = path_to_alternating(StPath(("s", "t")), nf, {0: 1}, rm)
-    assert alt.vertices == (("A", 2), ("B", 2))
+    edges, out = _translated(fam, K22, RainbowMatching({}), ("s", "t"), {0: 1})
+    assert edges == [(2, 2)]
+    assert out.assignment == {1: (2, 2)}
 
 
 def test_path_to_alternating_five_edges():
     fam = family_on(K33, {(1, 1)}, {(2, 2)}, {(3, 1)}, {(1, 2)}, {(2, 3)})
     rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
-    _, nf = build_network(K33, fam, rm)
-    p = StPath(("s", (1, 1), (2, 2), "t"))
-    alt = path_to_alternating(p, nf, {0: 1, 1: 2, 2: 3}, rm)
-    assert alt.edges() == ((3, 1), (1, 1), (1, 2), (2, 2), (2, 3))
-    # alternation: even positions new, odd positions matched
-    assert has_augmenting_path(alt.new_edges(), rm.matching().edges)
+    edges, out = _translated(fam, K33, rm, ("s", (1, 1), (2, 2), "t"),
+                             {0: 1, 1: 2, 2: 3})
+    assert edges == [(3, 1), (1, 2), (2, 3)]
+    # alternation: the new edges augment the matching
+    assert has_augmenting_path(edges, rm.matching().edges)
+    assert out.assignment == {3: (3, 1), 4: (1, 2), 5: (2, 3)}
 
 
-def test_path_to_alternating_pinned_preimages():
-    # two unmatched A-vertices witness the same source arc; the default is
-    # the least witness, and chosen can pin the other one
+def test_path_to_alternating_least_preimage():
+    # two unmatched A-vertices witness the same source arc: the least wins
     g = BipartiteGraph.complete(3, 2)
     fam = family_on(g, {(1, 1)}, {(2, 1), (3, 1)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1)})
-    _, nf = build_network(g, fam, rm)
-    p = StPath(("s", (1, 1), "t"))
-    default = path_to_alternating(p, nf, {0: 1, 1: 2}, rm)
-    assert default.vertices[0] == ("A", 2)
-    pinned = path_to_alternating(p, nf, {0: 1, 1: 2}, rm, chosen={0: (3, 1)})
-    assert pinned.vertices[0] == ("A", 3)
-    with pytest.raises(PreimageError):
-        path_to_alternating(p, nf, {0: 1, 1: 2}, rm, chosen={0: (2, 2)})
+    edges, out = _translated(fam, g, rm, ("s", (1, 1), "t"), {0: 1, 1: 2})
+    assert edges[0] == (2, 1)
+    assert out.assignment == {2: (2, 1), 3: (1, 2)}
 
 
 def test_path_to_alternating_rejects_bad_rep():
     fam = family_on(K22, {(1, 1)}, {(2, 1)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1)})
     _, nf = build_network(K22, fam, rm)
-    p = StPath(("s", (1, 1), "t"))
-    with pytest.raises(ValueError):
-        path_to_alternating(p, nf, {0: 1, 1: 1}, rm)  # member reused
-    with pytest.raises(PreimageError):
-        path_to_alternating(p, nf, {0: 2, 1: 1}, rm)  # wrong owners
-    standalone = NetworkFamily(nf.network, nf.sets)
-    with pytest.raises(PreimageError):
-        path_to_alternating(p, standalone, {0: 1, 1: 2}, rm)
+    with pytest.raises(RepresentationClash):
+        augment(rm, [(2, 1), (1, 2)], [2, 2])  # member reused
+    with pytest.raises(ConstructiveStall):
+        _witness(nf, 2, ("s", (1, 1)))  # wrong owner: no preimage
 
 
 def test_augment_examples():
     rm = RainbowMatching({1: (1, 1)})
-    alt = AlternatingPath((("A", 2), ("B", 1), ("A", 1), ("B", 2)))
-    out = augment(rm, alt, [2, 3])
+    out = augment(rm, [(2, 1), (1, 2)], [2, 3])
     assert out.matching().edges == {(2, 1), (1, 2)}
     assert out.assignment == {2: (2, 1), 3: (1, 2)}
 
-    single = augment(RainbowMatching({}), AlternatingPath((("A", 1), ("B", 1))), [1])
+    single = augment(RainbowMatching({}), [(1, 1)], [1])
     assert len(single) == 1
 
 
 def test_augment_clash_carries_pairs():
     # member 5's edge survives the toggle, and the path tries to reuse member 5
     rm = RainbowMatching({1: (1, 1), 5: (3, 3)})
-    alt = AlternatingPath((("A", 2), ("B", 1), ("A", 1), ("B", 2)))
     with pytest.raises(RepresentationClash) as caught:
-        augment(rm, alt, [2, 5])
+        augment(rm, [(2, 1), (1, 2)], [2, 5])
     assert caught.value.member == 5
     assert ((5, (3, 3)) in caught.value.pairs) and ((5, (1, 2)) in caught.value.pairs)
 
@@ -193,21 +191,22 @@ def test_augment_clash_carries_pairs():
 def test_augment_validates_path():
     rm = RainbowMatching({1: (1, 1)})
     with pytest.raises(ValueError):
-        # starts at a matched vertex
-        augment(rm, AlternatingPath((("A", 1), ("B", 2))), [2])
+        augment(rm, [(1, 2)], [2])  # starts at a matched vertex
     with pytest.raises(ValueError):
-        # middle edge is not in the matching
-        augment(rm, AlternatingPath((("A", 2), ("B", 3), ("A", 3), ("B", 2))), [2, 3])
+        augment(rm, [(2, 3), (3, 2)], [2, 3])  # link (3, 3) is not matched
+    with pytest.raises(ValueError):
+        augment(rm, [], [])  # empty path
+    with pytest.raises(ValueError):
+        augment(rm, [(2, 1), (1, 2)], [2])  # one member short
+    with pytest.raises(ValueError, match="avoid the matching"):
+        augment(rm, [(2, 1), (1, 1), (1, 2)], [2, 3, 4])
 
 
 def test_rectify_double_representation():
     # candidate: member 7 doubled via (3,3) and (5,4); repair along the run
     pairs = [(7, (3, 3)), (2, (1, 1)), (3, (2, 2)), (7, (5, 4)), (4, (4, 5))]
-    cycle = RectifyCycle(chord=(3, 1), chord_member=9,
-                         matched_run=((1, 1), (2, 2), (3, 3)),
-                         run_edges=((1, 2), (2, 3)),
-                         run_members=(10, 11))
-    out = rectify_double_representation(pairs, cycle)
+    run = ((1, 1), (2, 2), (3, 3))
+    out = _exchange(pairs, run, [(9, (3, 1)), (10, (1, 2)), (11, (2, 3))])
     assert out.assignment == {7: (5, 4), 9: (3, 1), 10: (1, 2), 11: (2, 3),
                               4: (4, 5)}
     assert len(out) == len(pairs)
@@ -215,25 +214,24 @@ def test_rectify_double_representation():
 
 def test_rectify_shortest_cycle_swaps_two_edges():
     pairs = [(1, (1, 1)), (2, (2, 2)), (1, (3, 4))]
-    cycle = RectifyCycle(chord=(2, 1), chord_member=5,
-                         matched_run=((1, 1), (2, 2)),
-                         run_edges=((1, 2),), run_members=(6,))
-    out = rectify_double_representation(pairs, cycle)
+    out = _exchange(pairs, ((1, 1), (2, 2)), [(5, (2, 1)), (6, (1, 2))])
     assert out.assignment == {1: (3, 4), 5: (2, 1), 6: (1, 2)}
 
 
 def test_rectify_requires_double_representation():
-    cycle = RectifyCycle(chord=(2, 1), chord_member=5,
-                         matched_run=((1, 1), (2, 2)),
-                         run_edges=((1, 2),), run_members=(6,))
+    # the run must hold the doubled member's other copy
+    pairs = [(1, (1, 1)), (2, (2, 2)), (1, (3, 4)), (3, (3, 3))]
+    with pytest.raises(RepresentationClash) as caught:
+        _exchange(pairs, ((2, 2), (3, 3)), [(5, (3, 2)), (6, (2, 3))])
+    assert caught.value.member == 1
+
+
+def test_alternating_from_edges_validates_links():
+    rm = RainbowMatching({1: (1, 1)})
     with pytest.raises(ValueError):
-        rectify_double_representation([(1, (1, 1)), (2, (2, 2))], cycle)
-    with pytest.raises(ValueError):
-        rectify_double_representation(
-            [(1, (1, 1)), (2, (2, 2)), (1, (3, 4))],
-            RectifyCycle(chord=(9, 9), chord_member=5,
-                         matched_run=((1, 1), (2, 2)),
-                         run_edges=((1, 2),), run_members=(6,)))
+        augment(rm, [(2, 2), (3, 3)], [2, 3])  # (2,2) ends unmatched
+    out = augment(rm, [(2, 1), (1, 2)], [2, 3])
+    assert out.matching().edges == {(2, 1), (1, 2)}  # (1, 1) was the link
 
 
 def test_round_trip_path_existence():
@@ -266,14 +264,6 @@ def test_st_paths_enumeration_is_lexicographic():
              for ranks in _rank_paths(net._mask_over(net.arcs), net._size)]
     assert found == expected
     assert [p.vertices for p in naive_st_paths(net.arcs, net)] == expected
-
-
-def test_alternating_from_edges_validates_links():
-    rm = RainbowMatching({1: (1, 1)})
-    with pytest.raises(ValueError):
-        alternating_from_edges([(2, 2), (3, 3)], rm)  # (2,2) ends unmatched
-    path = alternating_from_edges([(2, 1), (1, 2)], rm)
-    assert path.edges() == ((2, 1), (1, 1), (1, 2))
 
 
 def _random_rainbow_matching(fam, rng) -> RainbowMatching:

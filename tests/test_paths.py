@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from rainbowmatch import (BoundExceeded, GreedyStuck,
-                          RainbowStPath, Regimentation, StPath,
+from rainbowmatch import (BoundExceeded, GreedyStuck, RainbowMatching,
+                          RainbowStPath, Regimentation, StPath, augment,
                           TheoremViolation, UnionPathError, dichotomy,
                           exhaustive_rainbow_path, greedy_rainbow_tree,
                           has_st_path, verify_rainbow_path)
@@ -23,6 +23,18 @@ def test_rainbow_path_validation():
     nf = abstract_family(("v",), [{("v", "t")}, {("s", "v")}])
     assert verify_rainbow_path(nf, rp)
     assert not verify_rainbow_path(nf, RainbowStPath(p, {0: 1, 1: 2}))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Regimentation((StPath(("s", "v", "t")),), {True: 0.9, 2.7: 0}),
+    lambda: RainbowStPath(StPath(("s", "v", "t")), {0.5: 1, True: 2.9}),
+    lambda: augment(RainbowMatching({}), [(1, 1)], [True]),
+    lambda: augment(RainbowMatching({}), [(1, 1)], [1.0]),
+], ids=["regimentation", "rainbow-path", "bool-member", "float-member"])
+def test_constructors_refuse_non_int_indices(build):
+    # int() would read each of these as another integer
+    with pytest.raises(ValueError, match="must be an int"):
+        build()
 
 
 def test_greedy_single_arc():

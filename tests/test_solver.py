@@ -1,12 +1,13 @@
 import pytest
 
 from rainbowmatch import (BipartiteGraph, ConstructiveStall, EdgeFamily,
-                          HypothesisFailure, RainbowMatching,
+                          HypothesisFailure, RainbowMatching, RainbowStPath,
                           build_network, exhaustive_rainbow_path,
                           find_regimentation, is_valid_rainbow,
                           rainbow_matching_max, solve_main,
                           verify_arrow_statement)
 from rainbowmatch.generators import random_cooperative_family, sharpness_family
+from rainbowmatch import solver
 from rainbowmatch.solver import _regimented_step
 
 from .helpers import brute_regimentation, family_on
@@ -56,6 +57,40 @@ def test_solve_main_trail_and_budget():
     assert [e["op"] for e in trail] == ["fallback", "oracle"]
     with pytest.raises(ConstructiveStall):
         solve_main(K22, fam, 2, 2, mode="constructive", budget=0)
+
+
+def _swap_owners(monkeypatch):
+    # hand each arc of a two-arc path to the other member, which does not
+    # own it: the step finds no edge to realize the arc
+    real = solver.path_or_certificate
+
+    def swapped(net, nf):
+        found = real(net, nf)
+        if len(found.path.arcs) != 2:
+            return found
+        rep = found.representation
+        return RainbowStPath(found.path, {0: rep[1], 1: rep[0]})
+
+    monkeypatch.setattr(solver, "path_or_certificate", swapped)
+
+
+def _reuse_member(monkeypatch):
+    # let one member represent every new edge: augment refuses the clash
+    real = solver.augment
+    monkeypatch.setattr(solver, "augment", lambda rm, edges, members:
+                        real(rm, edges, [members[0]] * len(members)))
+
+
+@pytest.mark.parametrize("fault", [_swap_owners, _reuse_member])
+def test_failing_step_falls_back_to_the_oracle(monkeypatch, fault):
+    fam = family_on(K22, {(1, 1), (2, 2)}, {(2, 1)}, {(1, 2)})
+    fault(monkeypatch)
+    trail = []
+    out = solve_main(K22, fam, 2, 2, mode="hybrid", trail=trail)
+    assert [e["op"] for e in trail] == ["augment", "fallback", "oracle"]
+    assert is_valid_rainbow(fam, out, size=2)
+    with pytest.raises(ConstructiveStall):
+        solve_main(K22, fam, 2, 2, mode="constructive")
 
 
 def test_constructive_swap_step():
