@@ -15,7 +15,9 @@ Edge = tuple[int, int]
 
 def _as_edge(e: Iterable[int]) -> Edge:
     a, b = e
-    return (int(a), int(b))
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"an edge endpoint must be an int, got {e!r}")
+    return (a, b)
 
 
 def _require_ints(values: Iterable, what: str) -> None:
@@ -129,7 +131,8 @@ class RainbowMatching:
     assignment: Mapping[int, Edge]
 
     def __post_init__(self) -> None:
-        assignment = {int(i): _as_edge(e) for i, e in dict(self.assignment).items()}
+        assignment = {i: _as_edge(e) for i, e in dict(self.assignment).items()}
+        _require_ints(assignment, "a member")
         object.__setattr__(self, "assignment", assignment)
         edges = list(assignment.values())
         if len(set(edges)) != len(edges):

@@ -2,8 +2,8 @@
 
 Two engines: a greedy rainbow tree that is complete whenever the family
 has inner-count + k members and every k-union contains a source-target
-path, and an exhaustive backtracking oracle used to certify that no
-rainbow path exists.
+path, and an exact search (least-owner pass, Hall and Kuhn gate,
+equal-mask pruning) used to certify that no rainbow path exists.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import reduce
 from operator import or_
 from typing import Mapping
 
-from .core import _require_ints
+from .core import _kuhn, _require_ints
 from .network import (BoundExceeded, Network, NetworkFamily, StPath,
                       _rank_paths, is_st_path)
 
@@ -121,27 +121,54 @@ def exhaustive_rainbow_path(net: Network, nf: NetworkFamily,
             f"{len(net.inner)} inner vertices exceed the bound {bound}")
     size = net._size
     masks = nf.masks
-    owners: dict[int, list[int]] = {}
-    for ranks in _rank_paths(reduce(or_, masks, 0), size):
-        bits = [1 << (u * size + v) for u, v in zip(ranks, ranks[1:])]
-        for bit in bits:
-            if bit not in owners:
-                owners[bit] = [pos for pos, m in enumerate(masks, start=1)
-                               if m & bit]
-        rep: list[int] = []
+    owners: dict[int, int] = {}   # arc bit -> mask of owning member positions
+    rep: list[int] = []
 
-        def assign(j: int) -> bool:
-            if j == len(bits):
-                return True
-            for pos in owners[bits[j]]:
-                if pos in rep:
-                    continue
+    def assign(rows: list[int], j: int, used: int) -> bool:
+        # members with equal masks can swap places in any completion, so
+        # a mask that failed at arc j is not tried there again
+        if j == len(rows):
+            return True
+        free = rows[j] & ~used
+        failed = []
+        while free:
+            low = free & -free
+            free ^= low
+            pos = low.bit_length() - 1
+            if masks[pos - 1] not in failed:
                 rep.append(pos)
-                if assign(j + 1):
+                if assign(rows, j + 1, used | low):
                     return True
-                rep.pop()
-            return False
+                failed.append(masks[rep.pop() - 1])
+        return False
 
-        if assign(0):
+    for ranks in _rank_paths(reduce(or_, masks, 0), size):
+        rows = []
+        anyone = 0
+        for u, v in zip(ranks, ranks[1:]):
+            bit = 1 << (u * size + v)
+            own = owners.get(bit)
+            if own is None:
+                own = owners[bit] = sum([1 << pos for pos, m in
+                                         enumerate(masks, start=1) if m & bit])
+            rows.append(own)
+            anyone |= own
+        arcs = len(rows)
+        if anyone.bit_count() < arcs:   # Hall's count
+            continue
+        rep.clear()
+        used = 0
+        for own in rows:   # each arc takes its least unused owner
+            low = own & ~used & -(own & ~used)
+            if not low:
+                break
+            used |= low
+            rep.append(low.bit_length() - 1)
+        else:
+            return RainbowStPath(net._path(ranks), dict(enumerate(rep)))
+        # stalled: backtrack only when the Kuhn kernel finds distinct owners
+        rep.clear()
+        if (_kuhn([0, *rows], [0] * (len(masks) + 1), 0, arcs).bit_count() == arcs
+                and assign(rows, 0, 0)):
             return RainbowStPath(net._path(ranks), dict(enumerate(rep)))
     return None

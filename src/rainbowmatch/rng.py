@@ -27,7 +27,9 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK
+        if type(seed) is not int:
+            raise ValueError(f"the seed must be an int, got {seed!r}")
+        self._state = seed & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK

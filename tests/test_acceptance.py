@@ -199,7 +199,7 @@ def test_criterion_3_main_theorem_randomized():
 def test_criterion_4_dichotomy_exhaustive(dichotomy_sweep):
     outcomes, certificates = dichotomy_sweep
     total = outcomes["path"] + outcomes["certificate"] + outcomes["violation"]
-    report(4, outcomes["violation"] == 0 and total > 300_000,
+    report(4, outcomes["violation"] == 0 and total == 328_123,
            f"{total} critical-size families: {outcomes['path']} paths, "
            f"{outcomes['certificate']} certificates, "
            f"{outcomes['violation']} violations")
@@ -221,7 +221,7 @@ def test_criterion_5_greedy_completeness():
                 assert isinstance(out, RainbowStPath), (inner, k, masks)
                 assert verify_rainbow_path(nf, out), (inner, k, masks)
                 checked += 1
-    report(5, checked > 8_000_000,
+    report(5, checked == 9_888_863,
            f"greedy returned an independently verified rainbow path on "
            f"{checked} instances at one past the critical size")
 

@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from rainbowmatch import (BoundExceeded, GreedyStuck, RainbowMatching,
-                          RainbowStPath, Regimentation, StPath, augment,
+from rainbowmatch import (BipartiteGraph, BoundExceeded, GreedyStuck,
+                          Matching, RainbowMatching, RainbowStPath,
+                          Regimentation, SplitMix64, StPath, augment,
                           TheoremViolation, UnionPathError, dichotomy,
                           exhaustive_rainbow_path, greedy_rainbow_tree,
                           has_st_path, verify_rainbow_path)
@@ -30,7 +32,16 @@ def test_rainbow_path_validation():
     lambda: RainbowStPath(StPath(("s", "v", "t")), {0.5: 1, True: 2.9}),
     lambda: augment(RainbowMatching({}), [(1, 1)], [True]),
     lambda: augment(RainbowMatching({}), [(1, 1)], [1.0]),
-], ids=["regimentation", "rainbow-path", "bool-member", "float-member"])
+    lambda: RainbowMatching({True: (1, 2)}),
+    lambda: RainbowMatching({1: (1.9, 2)}),
+    lambda: BipartiteGraph(2, 2, {(1.5, True)}),
+    lambda: BipartiteGraph(2, 2, {(1, True)}),
+    lambda: Matching({(2.0, 1)}),
+    lambda: SplitMix64(2.7),
+    lambda: SplitMix64(True),
+], ids=["regimentation", "rainbow-path", "bool-member", "float-member",
+        "bool-rainbow-member", "float-rainbow-edge", "float-graph-edge",
+        "bool-graph-edge", "float-matching-edge", "float-seed", "bool-seed"])
 def test_constructors_refuse_non_int_indices(build):
     # int() would read each of these as another integer
     with pytest.raises(ValueError, match="must be an int"):
@@ -234,3 +245,79 @@ def test_mask_engines_match_naive_references():
         outcomes.add((type(greedy).__name__, exhaustive is None))
     assert outcomes == {("RainbowStPath", False), ("GreedyStuck", False),
                         ("GreedyStuck", True)}
+
+
+def _first_pass_holds(nf, rp) -> bool:
+    """Whether giving each arc of rp's path its least unused owner never
+    stalls."""
+    used = set()
+    for arc in rp.path.arcs:
+        free = [pos for pos in range(1, len(nf) + 1)
+                if arc in nf.member(pos) and pos not in used]
+        if not free:
+            return False
+        used.add(free[0])
+    return True
+
+
+def test_exhaustive_matches_naive_on_repeated_members():
+    # repeated members are interchangeable: the engine prunes them, the
+    # naive product over owners does not
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(2000):
+        inner = tuple(f"v{i}" for i in range(rng.randint(0, 5)))
+        pool = all_arcs_over(inner)
+        density = rng.choice((0.15, 0.3, 0.5))
+        members = []
+        for _ in range(rng.randint(1, 4)):
+            arcs = frozenset(a for a in pool if rng.random() < density)
+            members += [arcs] * rng.randint(1, 4)
+        rng.shuffle(members)
+        nf = abstract_family(inner, members)
+        out = exhaustive_rainbow_path(nf.network, nf)
+        assert out == naive_exhaustive_rainbow_path(nf.network, nf), members
+        if out is None:
+            outcomes.add("none")
+        else:
+            outcomes.add("first pass" if _first_pass_holds(nf, out)
+                         else "after a stall")
+    assert outcomes == {"first pass", "after a stall", "none"}
+
+
+def _profiled(fn, *args):
+    """fn(*args) and the number of Python calls it made."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        return fn(*args), calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_exhaustive_search_is_not_factorial():
+    inner = tuple(f"v{i}" for i in range(8))
+    spine = StPath(("s", *inner, "t")).arcs
+    # the last two arcs only member 1 owns: nine owners pass Hall's count,
+    # yet no representation exists.  Members 2-9 differ by one back arc
+    # each, so no two are interchangeable, and a backtracking search over
+    # owner orders makes about 300,000 calls.
+    distinct = abstract_family(inner, [set(spine)]
+                               + [{*spine[:7], (inner[j], "v0")}
+                                  for j in range(1, 8)]
+                               + [set(spine[:7])])
+    out, calls = _profiled(exhaustive_rainbow_path, distinct.network, distinct)
+    assert out is None
+    assert calls < 1000
+    # member 1 owns every arc and must take the last one, which the
+    # least-owner pass gives away; a search that retries each of the
+    # eight equal members at every arc makes about 80,000 calls
+    equal = abstract_family(inner, [set(spine)] + [set(spine[:8])] * 8)
+    out, calls = _profiled(exhaustive_rainbow_path, equal.network, equal)
+    assert out.representation == {**{j: j + 2 for j in range(8)}, 8: 1}
+    assert calls < 1000

@@ -106,6 +106,23 @@ def test_constructive_swap_step():
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
 
 
+def test_extremal_critical_round_at_scale():
+    # the regimented order, shifted copies first and before the singleton,
+    # holds nine interchangeable shifted and nine diagonal members: the
+    # critical round must prove that no rainbow path exists among them
+    n = 10
+    g, base = sharpness_family(n, 2)
+    shifted = frozenset((i, i % n + 1) for i in range(1, n + 1))
+    rank = {shifted: 0, frozenset({(1, 2)}): 1}
+    fam = EdgeFamily(g, tuple(sorted(base.sets + (shifted,),
+                                     key=lambda s: rank.get(s, 2))))
+    assert fam.sets[:n] == (shifted,) * (n - 1) + (frozenset({(1, 2)}),)
+    trail = []
+    out = solve_main(g, fam, 2, n, mode="constructive", trail=trail)
+    assert is_valid_rainbow(fam, out, size=n)
+    assert [e["op"] for e in trail] == ["augment"] * 9 + ["swap", "augment"]
+
+
 def test_modes_agree_on_random_instances():
     checked = 0
     for (n, k) in ((2, 2), (3, 2), (3, 3), (4, 2)):
