@@ -8,7 +8,7 @@ Commands: solve, check, gen, certify, search, export-dot.  Exit codes:
     3   violation report (falsification channel; never expected)
     64  unreadable or unparseable input (including non-UTF-8 files), or
         bad command usage
-    65  parameter mismatch (sizes, ranges, emptiness bound)
+    65  parameter mismatch (sizes, ranges, emptiness and search-size bounds)
     66  malformed certificate file (including a non-UTF-8 one)
 
 The environment variable RAINBOW_SEED overrides --seed wherever a seed is
@@ -101,12 +101,8 @@ def _seed(args) -> int:
 def _cmd_solve(args) -> int:
     fam = _load_family(args.input)
     trail: list = []
-    try:
-        outcome = solve_main(fam.graph, fam, args.k, args.n,
-                             mode=args.mode, trail=trail)
-    except ValueError as exc:
-        print(f"parameter mismatch: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    outcome = solve_main(fam.graph, fam, args.k, args.n,
+                         mode=args.mode, trail=trail)
     if isinstance(outcome, HypothesisFailure):
         print(dumps_canonical({"schema": "rainbow/1",
                                "hypothesis_failure": list(outcome.indices)}),
@@ -123,11 +119,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     fam = _load_family(args.input)
-    try:
-        verdict = verify_arrow_statement(args.m, args.k, args.n, args.q, fam)
-    except ValueError as exc:
-        print(f"parameter mismatch: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    verdict = verify_arrow_statement(args.m, args.k, args.n, args.q, fam)
     print(verdict.status)
     detail: dict = {"schema": "rainbow/1", "status": verdict.status}
     if verdict.failing_indices is not None:
@@ -140,24 +132,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     seed = _seed(args)
-    try:
-        if args.family == "sharpness":
-            if args.n is None or args.k is None:
-                raise ParseError("gen sharpness needs --n and --k")
-            _, fam = sharpness_family(args.n, args.k)
-        elif args.family == "drisko":
-            if args.n is None:
-                raise ParseError("gen drisko needs --n")
-            fam = drisko_family(args.n, seed)
-        else:
-            if args.k is None:
-                raise ParseError("gen staircase needs --k")
-            fam = staircase_family(args.k, seed)
-    except ParseError:
-        raise  # a missing flag is a usage error, not a parameter mismatch
-    except ValueError as exc:
-        print(f"parameter mismatch: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    if args.family == "sharpness":
+        if args.n is None or args.k is None:
+            raise ParseError("gen sharpness needs --n and --k")
+        _, fam = sharpness_family(args.n, args.k)
+    elif args.family == "drisko":
+        if args.n is None:
+            raise ParseError("gen drisko needs --n")
+        fam = drisko_family(args.n, seed)
+    else:
+        if args.k is None:
+            raise ParseError("gen staircase needs --k")
+        fam = staircase_family(args.k, seed)
     print(family_dumps(fam), end="")
     return EXIT_OK
 
@@ -188,13 +174,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search(args) -> int:
     seed = _seed(args)
-    try:
-        result = conjecture_search(args.conjecture, k=args.k,
-                                   budget=args.budget, seed=seed,
-                                   exhaustive=args.exhaustive)
-    except ValueError as exc:
-        print(f"parameter mismatch: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    result = conjecture_search(args.conjecture, k=args.k, budget=args.budget,
+                               seed=seed, exhaustive=args.exhaustive)
     if result.found:
         print("counterexample")
         print(dumps_canonical({
@@ -213,16 +194,12 @@ def _cmd_search(args) -> int:
 def _cmd_export_dot(args) -> int:
     fam = _load_family(args.input)
     rm = matching_from_certificate(_load_certificate(args.matching))
-    try:
-        net, nf = build_network(fam.graph, fam, rm)
-    except ValueError as exc:
-        print(f"parameter mismatch: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    net, _ = build_network(fam.graph, fam, rm)
     reg = None
     if args.regimentation:
         reg = regimentation_from_certificate(
             _load_certificate(args.regimentation))
-    print(network_dot(net, nf, reg), end="")
+    print(network_dot(net, reg), end="")
     return EXIT_OK
 
 
@@ -293,7 +270,8 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_MALFORMED_CERT
-    except BoundExceeded as exc:
+    except (ValueError, BoundExceeded) as exc:
+        # after the two above: ParseError and CertificateError are ValueErrors
         print(f"parameter mismatch: {exc}", file=sys.stderr)
         return EXIT_PARAMS
 

@@ -17,7 +17,6 @@ mask; the tuple and frozenset views are built only where callers ask.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
@@ -67,9 +66,11 @@ class Network:
     arcs: frozenset
 
     def __post_init__(self) -> None:
-        inner = tuple(self.inner)
+        inner, arcs = tuple(self.inner), tuple(self.arcs)
+        if any(isinstance(arc, str) for arc in arcs):
+            raise ValueError("an arc is a (tail, head) pair, not a string")
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "arcs", frozenset((u, v) for u, v in self.arcs))
+        object.__setattr__(self, "arcs", frozenset((u, v) for u, v in arcs))
         if SOURCE in inner or TARGET in inner:
             raise ValueError("source and target cannot be inner vertices")
         if len(set(inner)) != len(inner):
@@ -194,6 +195,8 @@ class StPath:
     vertices: tuple
 
     def __post_init__(self) -> None:
+        if isinstance(self.vertices, str):
+            raise ValueError("a path is a vertex sequence, not a string")
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
@@ -224,15 +227,13 @@ class NetworkFamily:
     """Ordered multiset of arc sets over a shared network.
 
     masks holds one arc mask per member; sets is the frozenset view.
-    Families from build_network also carry preimages, mapping (member
-    position, arc) to the graph edges producing the arc, and origin,
-    mapping member positions back to the originating edge-family indices;
-    both are None for families built from arc sets.  Positions are 1-based.
+    origin maps member positions (1-based) to edge-family indices for
+    families from build_network, which also keep their member edges for
+    _least_witness; it is None for families built from arc sets.
     """
 
     network: Network
     masks: tuple[int, ...]
-    preimages: Mapping | None
     origin: tuple[int, ...] | None
 
     def __init__(self, network: Network, sets) -> None:
@@ -243,18 +244,16 @@ class NetworkFamily:
             idx = next(i for i, s in enumerate(sets, start=1)
                        if not s <= network.arcs)
             raise ValueError(f"member {idx} uses arcs outside the network") from None
-        self._fill(network, masks, None, None, sets)
-
-    def _fill(self, network, masks, preimages, origin, sets) -> None:
-        self.__dict__.update(network=network, masks=masks, preimages=preimages,
-                             origin=origin, _sets=sets)
+        self.__dict__.update(network=network, masks=masks, origin=None,
+                             _sets=sets, _edges=None)
 
     @classmethod
-    def _over(cls, network: Network, masks: tuple, preimages: Mapping,
-              origin: tuple) -> "NetworkFamily":
-        """A family given by masks that hold network arcs only."""
+    def _over(cls, network: Network, masks: tuple, origin: tuple,
+              edges: tuple) -> "NetworkFamily":
+        """A family over masks of network arcs; edges as build_network keeps them."""
         nf = object.__new__(cls)
-        nf._fill(network, masks, preimages, origin, None)
+        nf.__dict__.update(network=network, masks=masks, origin=origin,
+                           _sets=None, _edges=edges)
         return nf
 
     @property
@@ -277,38 +276,16 @@ class NetworkFamily:
         return frozenset().union(*chosen) if chosen else frozenset()
 
 
-class _Preimages(Mapping):
-    """(member position, arc) -> the member's graph edges that map onto the
-    arc, read from the member on lookup; the keys are exactly the set bits
-    of the masks."""
-
-    def __init__(self, net: Network, masks: tuple, members: tuple,
-                 a_row: list, b_rank: list):
-        self._net, self._masks, self._members = net, masks, members
-        self._a_row, self._b_rank = a_row, b_rank
-
-    def __getitem__(self, key) -> frozenset:
-        try:
-            pos, arc = key
-            mask = self._masks[pos - 1] if 1 <= pos <= len(self._masks) else 0
-            bit = self._net._bit.get(arc, 0)
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        if not mask & bit:
-            raise KeyError(key)
-        index = bit.bit_length() - 1
-        a_row, b_rank = self._a_row, self._b_rank
-        return frozenset(h for h in self._members[pos - 1]
-                         if a_row[h[0]] + b_rank[h[1]] == index)
-
-    def __iter__(self) -> Iterator:
-        for pos, mask in enumerate(self._masks, start=1):
-            for arc, bit in self._net._bit.items():
-                if mask & bit:
-                    yield (pos, arc)
-
-    def __len__(self) -> int:
-        return sum(mask.bit_count() for mask in self._masks)
+def _least_witness(nf: NetworkFamily, pos: int, arc) -> Edge | None:
+    """The least graph edge of member position pos that maps onto arc, or
+    None when there is none (always for families built from arc sets)."""
+    bit = nf.network._bit.get(arc, 0)
+    if nf._edges is None or not 1 <= pos <= len(nf.masks) \
+            or not nf.masks[pos - 1] & bit:
+        return None
+    members, a_row, b_rank = nf._edges
+    index = bit.bit_length() - 1
+    return min(h for h in members[pos - 1] if a_row[h[0]] + b_rank[h[1]] == index)
 
 
 def has_st_path(arcs: Iterable, source=SOURCE, target=TARGET) -> bool:
@@ -339,8 +316,8 @@ def build_network(g: BipartiteGraph, fam: EdgeFamily,
     edge of an unrepresented member becomes an arc: matched endpoints point
     at their matching edges, an unmatched A-endpoint contributes the source,
     an unmatched B-endpoint the target; (source, target) encodes a directly
-    addable edge.  The graph-edge witnesses of a (member, arc) pair are
-    read from the member on lookup in preimages.
+    addable edge.  _least_witness reads a (member, arc) pair's graph edge
+    from the member on lookup.
     """
     if g != fam.graph:
         raise ValueError("graph does not match the family's ambient graph")
@@ -368,9 +345,7 @@ def build_network(g: BipartiteGraph, fam: EdgeFamily,
         masks.append(mask & off_diagonal)
     masks = tuple(masks)
     net = Network._from_mask(inner, reduce(or_, masks, 0))
-    nf = NetworkFamily._over(net, masks,
-                             _Preimages(net, masks, members, a_row, b_rank),
-                             unrepresented)
+    nf = NetworkFamily._over(net, masks, unrepresented, (members, a_row, b_rank))
     return net, nf
 
 

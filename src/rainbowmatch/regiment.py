@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Mapping
 
 from .core import _require_ints
@@ -45,6 +47,29 @@ def backward_arcs(net: Network, q: StPath) -> frozenset:
     pos = {v: i for i, v in enumerate(q.vertices)}
     return frozenset((u, v) for (u, v) in net.arcs
                      if u in pos and v in pos and pos[v] < pos[u])
+
+
+def _backward_masks(net: Network, paths) -> tuple[int, ...]:
+    """One mask per path: the network arcs backward along it."""
+    return tuple(net._mask_over(backward_arcs(net, q)) for q in paths)
+
+
+def _least_backward_arc(net, nf, reg, positions) -> tuple | None:
+    """(position, path index, head spot, tail spot) of the least backward
+    arc of the first member among positions that holds one, or None: bits
+    ascend in arc_key order, and no arc enters s or leaves t, so a backward
+    arc lies inside exactly one of reg's paths."""
+    backs = _backward_masks(net, reg.paths)
+    every = reduce(or_, backs, 0)
+    pos = next((p for p in sorted(positions) if nf.masks[p - 1] & every), None)
+    if pos is None:
+        return None
+    bit = nf.masks[pos - 1] & every
+    bit &= -bit
+    index = next(i for i, back in enumerate(backs) if back & bit)
+    tail, head = divmod(bit.bit_length() - 1, net._size)
+    spots = [net.rank(v) for v in reg.paths[index].vertices]
+    return pos, index, spots.index(head), spots.index(tail)
 
 
 def useless_arcs(net: Network, q: StPath) -> frozenset:
@@ -172,8 +197,7 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily,
     essential = set(r.assignment)
     counting_ok = len(essential) == len(net.inner)
     masks, size = nf.masks, net._size
-    all_backward = net._mask_over(
-        frozenset().union(*(backward_arcs(net, q) for q in r.paths)))
+    all_backward = reduce(or_, _backward_masks(net, r.paths), 0)
     backward_ok = not any(mask & ~all_backward
                           for i, mask in enumerate(masks, start=1)
                           if i not in essential)

@@ -245,8 +245,7 @@ def _dot_label(v) -> str:
     return str(v)
 
 
-def network_dot(net: Network, nf: NetworkFamily | None = None,
-                regimentation: Regimentation | None = None) -> str:
+def network_dot(net: Network, regimentation: Regimentation | None = None) -> str:
     """Graphviz rendering; inner vertices are labeled by their matching
     edges, and arcs running backward along a certificate path are dashed."""
     backward = set()

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from .core import (BipartiteGraph, Edge, EdgeFamily, RainbowMatching,
                    cooperative_condition, is_valid_rainbow, max_matching,
                    rainbow_matching_max)
-from .network import RepresentationClash, _exchange, augment, build_network
+from .network import (RepresentationClash, _exchange, _least_witness, augment,
+                      build_network)
 from .dichotomy import TheoremViolation, path_or_certificate
 from .paths import RainbowStPath
+from .regiment import _least_backward_arc
 
 MODES = ("constructive", "oracle", "hybrid")
 
@@ -144,10 +146,10 @@ def _constructive(g: BipartiteGraph, fam: EdgeFamily, k: int, n: int,
 
 def _witness(nf, pos: int, arc) -> Edge:
     """The least graph edge of member position pos that maps onto arc."""
-    witnesses = nf.preimages.get((pos, arc))
-    if not witnesses:
+    edge = _least_witness(nf, pos, arc)
+    if edge is None:
         raise ConstructiveStall(f"member position {pos} has no edge on arc {arc}")
-    return min(witnesses)
+    return edge
 
 
 def _augment_via_path(found, nf, rm: RainbowMatching,
@@ -189,8 +191,7 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
     ie_positions = [p for p in range(1, len(nf) + 1) if p not in essential]
     ie_ids = [nf.origin[p - 1] for p in ie_positions]
 
-    ie_arcs_empty = all(not nf.member(p) for p in ie_positions)
-    if ie_arcs_empty:
+    if not any(nf.masks[p - 1] for p in ie_positions):
         # every inessential member's edges already sit inside the matching:
         # trade the representation of one such edge and retry
         s1 = next((i for i in sorted(ie_ids) if fam.member(i)), None)
@@ -207,19 +208,7 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
 
     # least inessential arc that runs backward along a certificate path;
     # every inessential arc is backward when no rainbow path exists
-    found = None
-    for pos in sorted(ie_positions):
-        for arc in net.sorted_arcs(nf.member(pos)):
-            for index, q in enumerate(reg.paths):
-                spots = {v: i for i, v in enumerate(q.vertices)}
-                if arc[0] in spots and arc[1] in spots \
-                        and spots[arc[1]] < spots[arc[0]]:
-                    found = (pos, index, spots[arc[1]], spots[arc[0]])
-                    break
-            if found:
-                break
-        if found:
-            break
+    found = _least_backward_arc(net, nf, reg, ie_positions)
     if found is None:
         raise ConstructiveStall("no inessential arc runs backward on a certificate path")
     owner_pos, back_index, lo, hi = found

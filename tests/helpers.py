@@ -150,6 +150,28 @@ def brute_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None
 
 # -- tuple and set based network references ---------------------------------
 
+def naive_least_backward_arc(net: Network, nf: NetworkFamily,
+                             reg: Regimentation, ie_positions) -> tuple | None:
+    """(position, path index, head spot, tail spot) of the first arc, over
+    the positions ascending and each member's arcs in arc_key order, that
+    runs backward along some certificate path (the first such path), or
+    None."""
+    found = None
+    for pos in sorted(ie_positions):
+        for arc in net.sorted_arcs(nf.member(pos)):
+            for index, q in enumerate(reg.paths):
+                spots = {v: i for i, v in enumerate(q.vertices)}
+                if arc[0] in spots and arc[1] in spots \
+                        and spots[arc[1]] < spots[arc[0]]:
+                    found = (pos, index, spots[arc[1]], spots[arc[0]])
+                    break
+            if found:
+                break
+        if found:
+            break
+    return found
+
+
 def naive_build_network(g: BipartiteGraph, fam: EdgeFamily,
                         rm: RainbowMatching) -> tuple:
     """(inner, member arc sets, preimages, origin) of the network over rm's

@@ -357,6 +357,25 @@ def test_certify_refuses_malformed_shapes(tmp_path, network, certificate,
     assert "Traceback" not in proc.stderr
 
 
+def test_certify_above_the_search_bound_exits_65(tmp_path):
+    # the certificate verifies, but the structure lemmas need an exhaustive
+    # search that refuses nine inner vertices
+    inner = [f"v{i}" for i in range(9)]
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(
+        {"inner": inner, "sets": [[["s", v], [v, "t"]] for v in inner]}))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "schema": "rainbow/1", "paths": [["s", v, "t"] for v in inner],
+        "assignment": {str(i): i - 1 for i in range(1, 10)}}))
+    proc = _run_module("certify", "--input", str(netfile),
+                       "--regimentation", str(cert))
+    assert proc.returncode == 65
+    assert proc.stdout == ""
+    assert "parameter mismatch" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 _NETWORK = {"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]}
 _CERTIFICATE = {"schema": "rainbow/1", "paths": [["s", "v", "t"]],
                 "assignment": {"1": 0}}

@@ -8,7 +8,7 @@ from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, ConstructiveStall,
                           Network, NetworkFamily, RainbowMatching,
                           RainbowStPath, RepresentationClash, StPath, augment,
                           build_network, has_st_path)
-from rainbowmatch.network import _exchange, _rank_paths
+from rainbowmatch.network import _exchange, _least_witness, _rank_paths
 from rainbowmatch.solver import _augment_via_path, _witness
 
 from rainbowmatch.generators import random_cooperative_family
@@ -29,6 +29,10 @@ def test_network_validation():
         Network(inner=("v", "v"), arcs=frozenset())
     with pytest.raises(ValueError):
         Network(inner=("v",), arcs={("v", "v")})
+    with pytest.raises(ValueError):
+        Network(inner=(), arcs={"st"})  # a string is not a (tail, head) pair
+    with pytest.raises(ValueError):
+        Network(inner=("u", "v"), arcs={("s", "u"), "uv", ("v", "t")})
     net = Network(inner=("u", "v"), arcs={("s", "u"), ("u", "v"), ("v", "t")})
     assert net.vertices == ("s", "u", "v", "t")
     assert net.rank("u") < net.rank("v") < net.rank("t")
@@ -39,6 +43,10 @@ def test_st_path_validation():
         StPath(("s",))
     with pytest.raises(ValueError):
         StPath(("s", "v", "v", "t"))
+    with pytest.raises(ValueError):
+        StPath("st")  # a string is not a vertex sequence
+    with pytest.raises(ValueError):
+        StPath("svt")
     p = StPath(("s", "v", "t"))
     assert p.arcs == (("s", "v"), ("v", "t"))
     assert p.interior == ("v",)
@@ -48,10 +56,14 @@ def test_network_surface_has_one_source_and_target():
     assert [f.name for f in dataclasses.fields(Network)] == ["inner", "arcs"]
     net = Network(inner=("v",), arcs={("s", "v"), ("v", "t")})
     sets = (frozenset({("s", "v")}),)
+    assert [f.name for f in dataclasses.fields(NetworkFamily)] == [
+        "network", "masks", "origin"]
     with pytest.raises(TypeError):
         NetworkFamily(net, sets, preimages={})
     nf = NetworkFamily(net, sets)
-    assert nf.preimages is None and nf.origin is None
+    assert nf.origin is None
+    assert _least_witness(nf, 1, ("s", "v")) is None  # no graph behind it
+    assert not hasattr(rainbowmatch.network, "_Preimages")
     for gone in ("contract_source_edge", "uncontract_path", "st_paths",
                  "check_exchange_lemma", "is_st_path", "AlternatingPath",
                  "alternating_from_edges", "path_to_alternating",
@@ -81,9 +93,9 @@ def test_build_network_four_cases():
     assert net.inner == ((1, 1),)
     assert net.arcs == {((1, 1), "t"), ("s", (1, 1)), ("s", "t")}
     assert nf.origin == (2,)
-    assert nf.preimages[(1, ("s", (1, 1)))] == {(2, 1)}
-    assert nf.preimages[(1, ((1, 1), "t"))] == {(1, 2)}
-    assert nf.preimages[(1, ("s", "t"))] == {(2, 2)}
+    assert _least_witness(nf, 1, ("s", (1, 1))) == (2, 1)
+    assert _least_witness(nf, 1, ((1, 1), "t")) == (1, 2)
+    assert _least_witness(nf, 1, ("s", "t")) == (2, 2)
 
 
 def test_build_network_matched_to_matched():
@@ -284,7 +296,7 @@ def _random_rainbow_matching(fam, rng) -> RainbowMatching:
 
 def test_build_network_matches_naive_reference():
     rng = random.Random(31)
-    compared = 0
+    compared = several = 0
     for seed in range(400):
         n = rng.randint(2, 5)
         k = rng.randint(2, n)
@@ -299,21 +311,17 @@ def test_build_network_matches_naive_reference():
         assert nf.sets == sets
         assert nf.origin == origin
         assert net.arcs == frozenset().union(*sets)
-        assert set(nf.preimages) == set(preimages)
-        assert len(nf.preimages) == len(preimages)
         every_arc = [(u, v) for u in net.vertices for v in net.vertices]
         for pos in range(len(sets) + 2):
             for arc in every_arc:
                 key = (pos, arc)
-                if key in preimages:
-                    assert nf.preimages[key] == preimages[key], key
-                    assert min(nf.preimages.get(key)) == min(preimages[key])
-                else:
-                    assert key not in nf.preimages, key
-                    assert nf.preimages.get(key) is None, key
+                expected = min(preimages[key]) if key in preimages else None
+                assert _least_witness(nf, pos, arc) == expected, key
+        several += any(len(edges) > 1 for edges in preimages.values())
         outside = [a for a in all_arcs_over(net.inner) if a not in net.arcs]
         if outside:
             with pytest.raises(ValueError):
                 NetworkFamily(net, sets + (frozenset({outside[0]}),))
         compared += 1
     assert compared > 300
+    assert several > 50  # families where some key has competing witnesses

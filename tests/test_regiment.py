@@ -8,8 +8,10 @@ from rainbowmatch import (Network, NetworkFamily, Regimentation, StPath,
                           exhaustive_rainbow_path, find_regimentation,
                           useless_arcs, verify_regimentation)
 
+from rainbowmatch.regiment import _least_backward_arc
+
 from .helpers import (abstract_family, all_arcs_over, brute_regimentation,
-                      naive_st_paths)
+                      naive_least_backward_arc, naive_st_paths)
 
 
 def test_backward_arcs_examples():
@@ -21,6 +23,52 @@ def test_backward_arcs_examples():
     forward_only = Network(inner=("y1", "y2"),
                            arcs={("s", "y1"), ("y1", "y2"), ("y2", "t")})
     assert backward_arcs(forward_only, q) == frozenset()
+
+
+def _random_certified_family(rng):
+    """An abstract family with a verified certificate: inner vertices split
+    into ordered path blocks, c - 1 essential members per c-arc path, and
+    one to four inessential members; every member also holds random arcs."""
+    inner = [f"v{i}" for i in range(rng.randint(1, 5))]
+    order = rng.sample(inner, len(inner))
+    paths, start = [], 0
+    while start < len(order):
+        stop = rng.randint(start + 1, len(order))
+        paths.append(StPath(("s", *order[start:stop], "t")))
+        start = stop
+    owners = [index for index, q in enumerate(paths)
+              for _ in range(len(q.arcs) - 1)]
+    owners += [None] * rng.randint(1, 4)
+    rng.shuffle(owners)
+    pool = all_arcs_over(inner)
+    density = rng.choice((0.02, 0.2, 0.5))
+    members, assignment = [], {}
+    for pos, index in enumerate(owners, start=1):
+        arcs = {a for a in pool if rng.random() < density}
+        if index is not None:
+            arcs |= set(paths[index].arcs)
+            assignment[pos] = index
+        members.append(arcs)
+    nf = abstract_family(inner, members)
+    reg = Regimentation(tuple(paths), assignment)
+    assert verify_regimentation(nf.network, nf, reg) is None
+    return nf, reg
+
+
+def test_least_backward_arc_matches_naive_reference():
+    # the solver's pick of the arc its regimented step exchanges along
+    rng = random.Random(2003)
+    hits = misses = 0
+    for _ in range(500):
+        nf, reg = _random_certified_family(rng)
+        ie_positions = [p for p in range(1, len(nf) + 1)
+                        if p not in reg.assignment]
+        found = _least_backward_arc(nf.network, nf, reg, ie_positions)
+        assert found == naive_least_backward_arc(nf.network, nf, reg,
+                                                 ie_positions), (nf.sets, reg)
+        hits += found is not None
+        misses += found is None
+    assert hits > 100 and misses > 100
 
 
 def test_useless_arcs_examples():

@@ -220,9 +220,9 @@ def test_dot_output_is_deterministic():
                                   "sets": [[[1, 1]], [[2, 1], [1, 2]]]})).graph,
         (frozenset({(1, 1)}), frozenset({(2, 1), (1, 2)})))
     rm = RainbowMatching({1: (1, 1)})
-    net, nf = build_network(fam.graph, fam, rm)
-    dot = network_dot(net, nf)
-    assert dot == network_dot(net, nf)
+    net, _ = build_network(fam.graph, fam, rm)
+    dot = network_dot(net)
+    assert dot == network_dot(net)
     assert 'e_1_1 [shape=box, label="a1b1"]' in dot
     assert dot.endswith("}\n")
 
