@@ -94,8 +94,9 @@ class EdgeFamily:
     def _of_int_pairs(cls, graph: BipartiteGraph,
                       sets: tuple[frozenset[Edge], ...]) -> "EdgeFamily":
         """A family whose members already are frozensets of (int, int)
-        pairs, as the instance reader builds them: the subset check runs,
-        the per-edge normalisation (a no-op on such input) does not."""
+        pairs, as the instance reader, the random sampler and the search
+        build them from a graph's edges: the subset check runs, the per-edge
+        normalisation (a no-op on such input) does not."""
         fam = object.__new__(cls)
         object.__setattr__(fam, "graph", graph)
         object.__setattr__(fam, "sets", sets)
@@ -252,6 +253,21 @@ def _first_short_union(fam: EdgeFamily, floors: tuple[int, ...]) -> tuple[int, .
     return walk(0, 0, [0] * (g.left_size + 1), [0] * (g.right_size + 1), 0)
 
 
+def _checked(g: BipartiteGraph, edge_subset: Iterable[Edge] | None) -> frozenset[Edge]:
+    """edge_subset normalised and checked to lie inside g (default: all edges)."""
+    if edge_subset is None:
+        return g.edges
+    edges = frozenset(_as_edge(e) for e in edge_subset)
+    if not edges <= g.edges:
+        raise ValueError("edge_subset must lie inside the graph")
+    return edges
+
+
+def _nu(g: BipartiteGraph, edges: Iterable[Edge]) -> int:
+    """Matching number of edges already known to lie inside g."""
+    return _kuhn(_rows(g, edges), [0] * (g.right_size + 1), 0, g.left_size).bit_count()
+
+
 def max_matching(g: BipartiteGraph,
                  edge_subset: Iterable[Edge] | None = None) -> Matching:
     """Maximum-cardinality matching inside edge_subset (default: all edges).
@@ -260,43 +276,37 @@ def max_matching(g: BipartiteGraph,
     ascending order and B-vertices lowest first, so the result is
     deterministic for a fixed input.
     """
-    if edge_subset is None:
-        edges = g.edges
-    else:
-        edges = frozenset(_as_edge(e) for e in edge_subset)
-        if not edges <= g.edges:
-            raise ValueError("edge_subset must lie inside the graph")
     owner = [0] * (g.right_size + 1)
-    _kuhn(_rows(g, edges), owner, 0, g.left_size)
+    _kuhn(_rows(g, _checked(g, edge_subset)), owner, 0, g.left_size)
     return Matching(frozenset((a, b) for b, a in enumerate(owner) if a))
 
 
 def matching_number(g: BipartiteGraph,
                     edge_subset: Iterable[Edge] | None = None) -> int:
-    return len(max_matching(g, edge_subset))
+    return _nu(g, _checked(g, edge_subset))
 
 
 def rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
     """Maximum rainbow matching size, with a witness, by exhaustive search.
 
     This is the project's brute-force oracle: complete backtracking over
-    partial choice functions.  Members are explored smallest-set-first,
-    branches that cannot beat the incumbent are cut, and the search stops
-    once the ceiling min(|fam|, matching number of the union) is reached.
+    partial choice functions, with the used A- and B-vertices carried down
+    as bitmasks.  Members are explored smallest-set-first, branches that
+    cannot beat the incumbent are cut, and the search stops once the
+    ceiling min(|fam|, matching number of the union) is reached.
     Deterministic for a fixed input.
     """
     m = len(fam)
     if m == 0:
         return 0, RainbowMatching({})
-    order = sorted(range(1, m + 1), key=lambda i: (len(fam.member(i)), i))
-    members = [(i, sorted(fam.member(i))) for i in order]
-    ceiling = min(m, matching_number(fam.graph, fam.union()))
+    order = sorted(range(m), key=lambda i: (len(fam.sets[i]), i))
+    members = [(i + 1, [(e, 1 << e[0], 1 << e[1]) for e in sorted(fam.sets[i])])
+               for i in order]
+    ceiling = min(m, _nu(fam.graph, fam.union()))
     best: dict[int, Edge] = {}
     chosen: dict[int, Edge] = {}
-    used_a: set[int] = set()
-    used_b: set[int] = set()
 
-    def walk(pos: int) -> bool:
+    def walk(pos: int, used_a: int, used_b: int) -> bool:
         nonlocal best
         if len(chosen) > len(best):
             best = dict(chosen)
@@ -305,21 +315,17 @@ def rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
         if pos == m or len(chosen) + (m - pos) <= len(best):
             return False
         index, edges = members[pos]
-        for a, b in edges:
-            if a in used_a or b in used_b:
+        for e, bit_a, bit_b in edges:
+            if used_a & bit_a or used_b & bit_b:
                 continue
-            used_a.add(a)
-            used_b.add(b)
-            chosen[index] = (a, b)
-            finished = walk(pos + 1)
-            used_a.discard(a)
-            used_b.discard(b)
+            chosen[index] = e
+            finished = walk(pos + 1, used_a | bit_a, used_b | bit_b)
             del chosen[index]
             if finished:
                 return True
-        return walk(pos + 1)
+        return walk(pos + 1, used_a, used_b)
 
-    walk(0)
+    walk(0, 0, 0)
     return len(best), RainbowMatching(best)
 
 

@@ -62,13 +62,15 @@ def random_family(graph: BipartiteGraph, members: int, rng: SplitMix64,
     """members edge subsets, each edge kept with probability permille/1000;
     a subset left empty gets one uniformly drawn edge instead."""
     edges = sorted(graph.edges)
+    if not edges:
+        raise ValueError("the graph has no edges to draw from")
     sets = []
     for _ in range(members):
         chosen = {e for e in edges if rng.chance(permille, 1000)}
         if not chosen:
             chosen = {rng.choice(edges)}
         sets.append(frozenset(chosen))
-    return EdgeFamily(graph, tuple(sets))
+    return EdgeFamily._of_int_pairs(graph, tuple(sets))
 
 
 def random_cooperative_family(n: int, k: int, graph: BipartiteGraph,

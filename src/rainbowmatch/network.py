@@ -66,9 +66,11 @@ class Network:
     arcs: frozenset
 
     def __post_init__(self) -> None:
+        if isinstance(self.inner, str):
+            raise ValueError("inner is a vertex sequence, not a string")
         inner, arcs = tuple(self.inner), tuple(self.arcs)
-        if any(isinstance(arc, str) for arc in arcs):
-            raise ValueError("an arc is a (tail, head) pair, not a string")
+        if any(isinstance(arc, (str, set, frozenset)) for arc in arcs):
+            raise ValueError("an arc is a (tail, head) pair, not a string or a set")
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "arcs", frozenset((u, v) for u, v in arcs))
         if SOURCE in inner or TARGET in inner:
@@ -265,15 +267,6 @@ class NetworkFamily:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def member(self, position: int) -> frozenset:
-        if not 1 <= position <= len(self.masks):
-            raise IndexError(f"member position {position} out of range 1..{len(self.masks)}")
-        return self.sets[position - 1]
-
-    def union(self, positions: Iterable[int] | None = None) -> frozenset:
-        chosen = self.sets if positions is None else [self.member(p) for p in positions]
-        return frozenset().union(*chosen) if chosen else frozenset()
 
 
 def _least_witness(nf: NetworkFamily, pos: int, arc) -> Edge | None:

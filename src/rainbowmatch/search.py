@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .core import (BipartiteGraph, EdgeFamily, _first_short_union,
-                   matching_number, rainbow_matching_max)
+from .core import (BipartiteGraph, EdgeFamily, _first_short_union, _nu,
+                   rainbow_matching_max)
 from .generators import random_family
 from .rng import SplitMix64
 
@@ -54,17 +55,20 @@ def graded_union_condition(fam: EdgeFamily, k: int) -> bool:
     return _first_short_union(fam, tuple(range(1, min(k, len(fam)) + 1))) is None
 
 
+@lru_cache(maxsize=8)
+def _doubled_graph(g: BipartiteGraph) -> BipartiteGraph:
+    return BipartiteGraph(
+        2 * g.left_size, 2 * g.right_size,
+        g.edges | frozenset((a + g.left_size, b + g.right_size) for a, b in g.edges))
+
+
 def doubled_family(fam: EdgeFamily) -> EdgeFamily:
     """Each member unioned with its own copy on a disjoint vertex copy."""
     g = fam.graph
-    big = BipartiteGraph(
-        2 * g.left_size, 2 * g.right_size,
-        frozenset(g.edges)
-        | frozenset((a + g.left_size, b + g.right_size) for a, b in g.edges))
     sets = tuple(
         s | frozenset((a + g.left_size, b + g.right_size) for a, b in s)
         for s in fam.sets)
-    return EdgeFamily(big, sets)
+    return EdgeFamily._of_int_pairs(_doubled_graph(g), sets)
 
 
 def _check_c41(fam: EdgeFamily, k: int) -> tuple[bool, int | None]:
@@ -75,7 +79,7 @@ def _check_c41(fam: EdgeFamily, k: int) -> tuple[bool, int | None]:
 
 
 def _check_c43(fam: EdgeFamily, k: int) -> tuple[bool, int | None]:
-    if any(matching_number(fam.graph, s) < k for s in fam.sets):
+    if any(_nu(fam.graph, s) < k for s in fam.sets):
         return False, None
     size, _ = rainbow_matching_max(doubled_family(fam))
     return True, size
@@ -116,7 +120,7 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
                 f"exhaustive space has {space} multisets, above the budget {budget}")
         for combo in itertools.combinations_with_replacement(subsets, members):
             instances += 1
-            fam = EdgeFamily(graph, combo)
+            fam = EdgeFamily._of_int_pairs(graph, combo)
             ok, size = check(fam, k)
             if not ok:
                 continue

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 
-from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, EdgeFamily,
+from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, Edge, EdgeFamily,
                           GreedyStuck, Network, NetworkFamily, RainbowMatching,
-                          RainbowStPath, Regimentation, StPath)
+                          RainbowStPath, Regimentation, StPath, matching_number)
 
 
 def is_matching(edges) -> bool:
@@ -25,7 +25,9 @@ def brute_matching_number(edges) -> int:
     """Largest matching by enumerating every edge subset."""
     edges = sorted(edges)
     best = 0
-    for r in range(len(edges), 0, -1):
+    # no matching outgrows either side's set of endpoints
+    top = min(len({a for a, _ in edges}), len({b for _, b in edges}))
+    for r in range(top, 0, -1):
         if r <= best:
             break
         for combo in itertools.combinations(edges, r):
@@ -77,6 +79,47 @@ def brute_rainbow_number(fam: EdgeFamily) -> int:
     return best
 
 
+def naive_rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
+    """Reference for rainbow_matching_max's size and witness: the same
+    backtracking with the used vertices kept in two sets."""
+    m = len(fam)
+    if m == 0:
+        return 0, RainbowMatching({})
+    order = sorted(range(1, m + 1), key=lambda i: (len(fam.member(i)), i))
+    members = [(i, sorted(fam.member(i))) for i in order]
+    ceiling = min(m, matching_number(fam.graph, fam.union()))
+    best: dict[int, Edge] = {}
+    chosen: dict[int, Edge] = {}
+    used_a: set[int] = set()
+    used_b: set[int] = set()
+
+    def walk(pos: int) -> bool:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = dict(chosen)
+            if len(best) >= ceiling:
+                return True
+        if pos == m or len(chosen) + (m - pos) <= len(best):
+            return False
+        index, edges = members[pos]
+        for a, b in edges:
+            if a in used_a or b in used_b:
+                continue
+            used_a.add(a)
+            used_b.add(b)
+            chosen[index] = (a, b)
+            finished = walk(pos + 1)
+            used_a.discard(a)
+            used_b.discard(b)
+            del chosen[index]
+            if finished:
+                return True
+        return walk(pos + 1)
+
+    walk(0)
+    return len(best), RainbowMatching(best)
+
+
 def has_augmenting_path(edge_pool, matching_edges) -> bool:
     """Berge's criterion: the matching is augmentable inside the pool iff
     it is not maximum there."""
@@ -97,6 +140,12 @@ def abstract_family(inner, member_arc_sets, full_arcs=None) -> NetworkFamily:
         arcs = frozenset(full_arcs)
     net = Network(inner=tuple(inner), arcs=arcs)
     return NetworkFamily(net, sets)
+
+
+def arc_union(nf: NetworkFamily, positions=None) -> frozenset:
+    """Union of the arc sets at the given 1-based positions (default: all)."""
+    chosen = nf.sets if positions is None else [nf.sets[p - 1] for p in positions]
+    return frozenset().union(*chosen)
 
 
 def all_arcs_over(inner) -> list:
@@ -135,7 +184,7 @@ def brute_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None
     members = range(1, len(nf) + 1)
     for system in _ordered_partitions(net.inner):
         paths = [StPath((SOURCE, *block, TARGET)) for block in system]
-        pools = [[m for m in members if set(q.arcs) <= nf.member(m)]
+        pools = [[m for m in members if set(q.arcs) <= nf.sets[m - 1]]
                  for q in paths]
         choices = [itertools.combinations(pool, len(q.arcs) - 1)
                    for q, pool in zip(paths, pools)]
@@ -158,7 +207,7 @@ def naive_least_backward_arc(net: Network, nf: NetworkFamily,
     None."""
     found = None
     for pos in sorted(ie_positions):
-        for arc in net.sorted_arcs(nf.member(pos)):
+        for arc in net.sorted_arcs(nf.sets[pos - 1]):
             for index, q in enumerate(reg.paths):
                 spots = {v: i for i, v in enumerate(q.vertices)}
                 if arc[0] in spots and arc[1] in spots \
@@ -227,7 +276,7 @@ def naive_greedy_rainbow_tree(net: Network, nf: NetworkFamily):
         for pos in range(1, len(nf) + 1):
             if pos in used:
                 continue
-            for arc in nf.member(pos):
+            for arc in nf.sets[pos - 1]:
                 u, v = arc
                 if u in tree and v not in tree:
                     key = (pos, net.arc_key(arc))
@@ -253,8 +302,8 @@ def naive_greedy_rainbow_tree(net: Network, nf: NetworkFamily):
 def naive_exhaustive_rainbow_path(net: Network, nf: NetworkFamily):
     """First path of naive_st_paths over the union that admits distinct
     owners, with its least owner choice, or None."""
-    for p in naive_st_paths(nf.union(), net):
-        pools = [[pos for pos in range(1, len(nf) + 1) if arc in nf.member(pos)]
+    for p in naive_st_paths(arc_union(nf), net):
+        pools = [[pos for pos in range(1, len(nf) + 1) if arc in nf.sets[pos - 1]]
                  for arc in p.arcs]
         for choice in itertools.product(*pools):
             if len(set(choice)) == len(choice):

@@ -11,7 +11,7 @@ from rainbowmatch import (BipartiteGraph, EdgeFamily, Matching,
                           rainbow_matching_max)
 
 from .helpers import (brute_matching_number, brute_rainbow_number,
-                      dict_kuhn_matching, family_on)
+                      dict_kuhn_matching, family_on, naive_rainbow_matching_max)
 
 K22 = BipartiteGraph.complete(2)
 K33 = BipartiteGraph.complete(3)
@@ -150,6 +150,59 @@ def test_rainbow_at_most_min_of_both_oracles(sets):
     fam = EdgeFamily(K33, tuple(frozenset(s) for s in sets))
     size, _ = rainbow_matching_max(fam)
     assert size <= min(len(fam), matching_number(K33, fam.union()))
+
+
+def _seeded_families(count: int, seed: int):
+    """Families on graphs from K_{1,1} to K_{4,4}, square or not, complete
+    or thinned, with 1-6 members; some members repeat an earlier one and
+    some are empty."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        left, right = rng.randint(1, 4), rng.randint(1, 4)
+        full = sorted(BipartiteGraph.complete(left, right).edges)
+        kept = full if rng.random() < 0.5 else [e for e in full if rng.random() < 0.7]
+        g = BipartiteGraph(left, right, frozenset(kept))
+        sets = []
+        for _ in range(rng.randint(1, 6)):
+            roll = rng.random()
+            if sets and roll < 0.2:
+                sets.append(rng.choice(sets))
+            elif roll < 0.3:
+                sets.append(frozenset())
+            else:
+                density = rng.random()
+                sets.append(frozenset(e for e in kept if rng.random() < density))
+        yield EdgeFamily(g, tuple(sets))
+
+
+def test_rainbow_witness_matches_set_based_reference():
+    # the witness is what solve --mode oracle prints and what the hybrid
+    # fallback continues from, so the exact assignment is pinned, not only
+    # the size
+    families = list(_seeded_families(2400, seed=29))
+    shapes = {(fam.graph.left_size, fam.graph.right_size) for fam in families}
+    assert any(a != b for a, b in shapes)
+    assert any(frozenset() in fam.sets for fam in families)
+    assert any(len(set(fam.sets)) < len(fam) for fam in families)
+    for fam in families:
+        size, witness = rainbow_matching_max(fam)
+        ref_size, ref_witness = naive_rainbow_matching_max(fam)
+        assert (size, witness.assignment) == (ref_size, ref_witness.assignment), fam
+        assert is_valid_rainbow(fam, witness, size=size)
+        for s in (*fam.sets, fam.union()):
+            assert matching_number(fam.graph, s) == brute_matching_number(s)
+
+
+def test_matching_number_still_validates_its_input():
+    with pytest.raises(ValueError):
+        matching_number(K22, {(1.0, 1)})
+    with pytest.raises(ValueError):
+        matching_number(K22, {(True, 1)})
+    with pytest.raises(ValueError):
+        matching_number(K22, {(1, 1), (3, 1)})
+    with pytest.raises(ValueError):
+        max_matching(K22, {(1, 2.0)})
+    assert matching_number(K22, [(1, 1), (2, 2)]) == 2
 
 
 def test_cooperative_condition_examples():

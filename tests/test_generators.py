@@ -5,7 +5,9 @@ import pytest
 from rainbowmatch import (BipartiteGraph, cooperative_condition,
                           matching_number, rainbow_matching_max)
 from rainbowmatch.generators import (drisko_family, random_cooperative_family,
-                                     sharpness_family, staircase_family)
+                                     random_family, sharpness_family,
+                                     staircase_family)
+from rainbowmatch.search import conjecture_search
 from rainbowmatch.rng import SplitMix64
 from rainbowmatch.serialize import family_dumps, family_loads
 
@@ -78,6 +80,26 @@ def test_random_cooperative_family():
 
     # a size-3 matching cannot exist on K_{2,2}
     assert random_cooperative_family(3, 2, g, seed=1, attempts=20) is None
+
+
+def test_random_family_refuses_an_edgeless_graph():
+    edgeless = BipartiteGraph(2, 2, frozenset())
+    with pytest.raises(ValueError, match="no edges to draw from"):
+        random_cooperative_family(2, 2, edgeless, seed=1)
+    with pytest.raises(ValueError, match="no edges to draw from"):
+        conjecture_search("c4.1", k=2, graph=edgeless, budget=10, seed=1)
+
+
+def test_random_family_draw_is_pinned():
+    # a drift in SplitMix64, in the edge order or in the empty-member
+    # fallback changes these sets
+    fam = random_family(BipartiteGraph.complete(3), 3, SplitMix64(42), permille=600)
+    assert [sorted(s) for s in fam.sets] == [
+        [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)],
+        [(1, 2), (2, 1), (2, 2), (3, 1)],
+        [(1, 1), (1, 2), (3, 2)]]
+    fam = random_family(BipartiteGraph.complete(2, 3), 4, SplitMix64(7), permille=300)
+    assert [sorted(s) for s in fam.sets] == [[(2, 1)], [(1, 2), (2, 2)], [(1, 3)], [(1, 2)]]
 
 
 def test_generators_are_seed_deterministic():

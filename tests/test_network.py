@@ -33,6 +33,13 @@ def test_network_validation():
         Network(inner=(), arcs={"st"})  # a string is not a (tail, head) pair
     with pytest.raises(ValueError):
         Network(inner=("u", "v"), arcs={("s", "u"), "uv", ("v", "t")})
+    with pytest.raises(ValueError):
+        # a set has no tail and head: its order would follow string hashing
+        Network(inner=("u", "v"), arcs=[frozenset({"u", "v"})])
+    with pytest.raises(ValueError):
+        Network(inner=("u", "v"), arcs=[{"s", "u"}])
+    with pytest.raises(ValueError):
+        Network(inner="uv", arcs=[])  # a string is not a vertex sequence
     net = Network(inner=("u", "v"), arcs={("s", "u"), ("u", "v"), ("v", "t")})
     assert net.vertices == ("s", "u", "v", "t")
     assert net.rank("u") < net.rank("v") < net.rank("t")
@@ -102,19 +109,19 @@ def test_build_network_matched_to_matched():
     fam = family_on(K33, {(1, 1)}, {(2, 2)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
     _, nf = build_network(K33, fam, rm)
-    assert nf.member(1) == {((1, 1), (2, 2))}
+    assert nf.sets[0] == {((1, 1), (2, 2))}
 
 
 def test_build_network_trivial_cases():
     fam = family_on(K22, {(1, 1)})
     net, nf = build_network(K22, fam, RainbowMatching({}))
     assert net.inner == ()
-    assert nf.member(1) == {("s", "t")}
+    assert nf.sets[0] == {("s", "t")}
 
     # member holding only matching edges maps to the empty arc set
     fam = family_on(K22, {(1, 1)}, {(1, 1)})
     _, nf = build_network(K22, fam, RainbowMatching({1: (1, 1)}))
-    assert nf.member(1) == frozenset()
+    assert nf.sets[0] == frozenset()
 
 
 def test_build_network_rejects_foreign_matching():
@@ -260,7 +267,7 @@ def test_round_trip_path_existence():
             fam = family_on(K33, *sets)
             net, nf = build_network(K33, fam, rm)
             pos = len(nf)  # the free member is always last
-            network_side = has_st_path(nf.member(pos), SOURCE, TARGET)
+            network_side = has_st_path(nf.sets[pos - 1], SOURCE, TARGET)
             graph_side = has_augmenting_path(member, matched)
             assert network_side == graph_side
 

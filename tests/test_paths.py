@@ -11,7 +11,7 @@ from rainbowmatch import (BipartiteGraph, BoundExceeded, GreedyStuck,
                           exhaustive_rainbow_path, greedy_rainbow_tree,
                           has_st_path, verify_rainbow_path)
 
-from .helpers import (abstract_family, all_arcs_over,
+from .helpers import (abstract_family, all_arcs_over, arc_union,
                       naive_exhaustive_rainbow_path, naive_greedy_rainbow_tree)
 
 
@@ -182,7 +182,7 @@ def test_dichotomy_never_violates_on_samples():
         for k in (1, 2):
             for members in _family_space(inner, inner_count + k - 1, rng, 120):
                 nf = abstract_family(inner, members, full_arcs=pool)
-                ok = all(has_st_path(nf.union(c), "s", "t")
+                ok = all(has_st_path(arc_union(nf, c), "s", "t")
                          for c in itertools.combinations(
                              range(1, len(nf) + 1), k))
                 if not ok:
@@ -201,7 +201,7 @@ def test_greedy_complete_on_samples():
         for k in (1, 2, 3):
             for members in _family_space(inner, inner_count + k, rng, 120):
                 nf = abstract_family(inner, members, full_arcs=pool)
-                ok = all(has_st_path(nf.union(c), "s", "t")
+                ok = all(has_st_path(arc_union(nf, c), "s", "t")
                          for c in itertools.combinations(
                              range(1, len(nf) + 1), k))
                 if not ok:
@@ -253,7 +253,7 @@ def _first_pass_holds(nf, rp) -> bool:
     used = set()
     for arc in rp.path.arcs:
         free = [pos for pos in range(1, len(nf) + 1)
-                if arc in nf.member(pos) and pos not in used]
+                if arc in nf.sets[pos - 1] and pos not in used]
         if not free:
             return False
         used.add(free[0])

@@ -280,7 +280,7 @@ def check_exchange_lemma(nf_g: NetworkFamily, nf_h: NetworkFamily,
             raise ValueError("a family still has a rainbow source-target path")
 
     def essential_path(nf: NetworkFamily, r: Regimentation, content) -> StPath | None:
-        positions = [i for i in range(1, len(nf) + 1) if nf.member(i) == content]
+        positions = [i for i in range(1, len(nf) + 1) if nf.sets[i - 1] == content]
         for i in positions:
             if i in r.assignment:
                 return r.paths[r.assignment[i]]

@@ -85,6 +85,19 @@ def test_search_is_deterministic():
         (b.instances, b.hypothesis_passed, b.found)
 
 
+@pytest.mark.parametrize("target, seed, budget, expected", [
+    ("c4.1", 5, 150, (150, 150)),
+    ("c4.3", 11, 300, (300, 283)),
+    ("c4.3", 8, 50, (50, 48)),
+])
+def test_search_stream_is_pinned(target, seed, budget, expected):
+    # the sampler, the hypothesis checks and the oracle together fix these
+    # counts on the default K_{3,3}
+    result = conjecture_search(target, k=2, budget=budget, seed=seed)
+    assert not result.found
+    assert (result.instances, result.hypothesis_passed) == expected
+
+
 def test_search_validates_arguments():
     with pytest.raises(ValueError):
         conjecture_search("c9.9", k=2)

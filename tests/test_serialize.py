@@ -149,7 +149,7 @@ def test_load_instance_dispatch():
         {"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]}))
     assert isinstance(nf, NetworkFamily)
     assert nf.network.inner == ("v",)
-    assert nf.member(1) == {("s", "v"), ("v", "t")}
+    assert nf.sets[0] == {("s", "v"), ("v", "t")}
 
 
 def test_network_family_round_trip():
