@@ -8,6 +8,7 @@ every purpose (rainbow choices, union conditions, certificates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 Edge = tuple[int, int]
@@ -174,6 +175,28 @@ def _rows(g: BipartiteGraph, edges: Iterable[Edge]) -> list[int]:
     return rows
 
 
+@lru_cache(maxsize=16)
+def _edge_table(g: BipartiteGraph) -> tuple[tuple[Edge, ...], dict[Edge, int],
+                                           tuple[int, ...]]:
+    """The graph's edges in sorted order, each edge's bit (1 << its position
+    there), and for each position the mask of the edges sharing no vertex
+    with that edge.  An edge mask over g is an int in these bits."""
+    edges = tuple(sorted(g.edges))
+    bits = {e: 1 << i for i, e in enumerate(edges)}
+    disjoint = tuple(sum(bit for (c, d), bit in bits.items() if c != a and d != b)
+                     for a, b in edges)
+    return edges, bits, disjoint
+
+
+def _mask_rows(g: BipartiteGraph, bits: dict[Edge, int], mask: int) -> list[int]:
+    """_rows of the edges whose bits (from _edge_table) are set in mask."""
+    rows = [0] * (g.left_size + 1)
+    for (a, b), bit in bits.items():
+        if mask & bit:
+            rows[a] |= 1 << b
+    return rows
+
+
 def _kuhn(rows: list[int], owner: list[int], matched: int, goal: int) -> int:
     """Grow a matching inside rows by Kuhn augmentation; the package's one
     matching kernel.
@@ -213,8 +236,10 @@ def _kuhn(rows: list[int], owner: list[int], matched: int, goal: int) -> int:
     return matched
 
 
-def _first_short_union(fam: EdgeFamily, floors: tuple[int, ...]) -> tuple[int, ...] | None:
-    """First index set K with nu(union K) < floors[|K| - 1], or None.
+def _first_short_union(g: BipartiteGraph, rows: list[list[int]],
+                       floors: tuple[int, ...]) -> tuple[int, ...] | None:
+    """First index set K with nu(union K) < floors[|K| - 1], or None, for
+    the members over g whose _rows are given.
 
     Walks the index sets of at most len(floors) members depth-first in
     lexicographic order.  Each prefix's union and maximum matching are
@@ -228,8 +253,6 @@ def _first_short_union(fam: EdgeFamily, floors: tuple[int, ...]) -> tuple[int, .
     first = next((d for d, f in enumerate(floors) if f > 0), None)
     if first is None:
         return None
-    g = fam.graph
-    rows = [_rows(g, s) for s in fam.sets]
     m, depth_limit, goal = len(rows), len(floors), floors[-1]
     picked: list[int] = []
 
@@ -286,47 +309,63 @@ def matching_number(g: BipartiteGraph,
     return _nu(g, _checked(g, edge_subset))
 
 
-def rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
-    """Maximum rainbow matching size, with a witness, by exhaustive search.
+def _rainbow_walk(masks: list[int], disjoint: tuple[int, ...],
+                  goal: int) -> list[tuple[int, int]]:
+    """A largest rainbow choice over edge masks, as (member position from
+    0, edge position) pairs; the walk stops once goal members are chosen.
 
-    This is the project's brute-force oracle: complete backtracking over
-    partial choice functions, with the used A- and B-vertices carried down
-    as bitmasks.  Members are explored smallest-set-first, branches that
-    cannot beat the incumbent are cut, and the search stops once the
-    ceiling min(|fam|, matching number of the union) is reached.
-    Deterministic for a fixed input.
+    Complete backtracking over partial choice functions, the edges still
+    free carried down as one mask (disjoint is _edge_table's).  Members are
+    explored fewest-edges-first, each member's edges in ascending position,
+    and branches that cannot beat the incumbent are cut.  The result is a
+    largest choice whenever it has fewer than goal members.
     """
-    m = len(fam)
-    if m == 0:
-        return 0, RainbowMatching({})
-    order = sorted(range(m), key=lambda i: (len(fam.sets[i]), i))
-    members = [(i + 1, [(e, 1 << e[0], 1 << e[1]) for e in sorted(fam.sets[i])])
-               for i in order]
-    ceiling = min(m, _nu(fam.graph, fam.union()))
-    best: dict[int, Edge] = {}
-    chosen: dict[int, Edge] = {}
+    m = len(masks)
+    order = sorted(range(m), key=lambda i: (masks[i].bit_count(), i))
+    best: list[tuple[int, int]] = []
+    chosen: list[tuple[int, int]] = []
 
-    def walk(pos: int, used_a: int, used_b: int) -> bool:
+    def walk(pos: int, free: int) -> bool:
         nonlocal best
         if len(chosen) > len(best):
-            best = dict(chosen)
-            if len(best) >= ceiling:
+            best = chosen.copy()
+            if len(best) >= goal:
                 return True
         if pos == m or len(chosen) + (m - pos) <= len(best):
             return False
-        index, edges = members[pos]
-        for e, bit_a, bit_b in edges:
-            if used_a & bit_a or used_b & bit_b:
-                continue
-            chosen[index] = e
-            finished = walk(pos + 1, used_a | bit_a, used_b | bit_b)
-            del chosen[index]
+        index = order[pos]
+        avail = masks[index] & free
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            j = low.bit_length() - 1
+            chosen.append((index, j))
+            finished = walk(pos + 1, free & disjoint[j])
+            chosen.pop()
             if finished:
                 return True
-        return walk(pos + 1, used_a, used_b)
+        return walk(pos + 1, free)
 
-    walk(0, 0, 0)
-    return len(best), RainbowMatching(best)
+    walk(0, -1)
+    for x, (_, i) in enumerate(best):
+        for _, j in best[x + 1:]:
+            if not disjoint[i] >> j & 1:
+                raise RuntimeError("the rainbow walk chose two edges sharing a vertex")
+    return best
+
+
+def rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
+    """Maximum rainbow matching size, with a witness, by exhaustive search.
+
+    This is the project's brute-force oracle: _rainbow_walk over the
+    members' edge masks, stopped at the ceiling min(|fam|, matching number
+    of the union).  Deterministic for a fixed input.
+    """
+    edges, bits, disjoint = _edge_table(fam.graph)
+    masks = [sum(map(bits.__getitem__, s)) for s in fam.sets]
+    ceiling = min(len(fam), _nu(fam.graph, fam.union()))
+    best = _rainbow_walk(masks, disjoint, ceiling)
+    return len(best), RainbowMatching({i + 1: edges[j] for i, j in best})
 
 
 def cooperative_condition(fam: EdgeFamily, k: int, n: int) -> tuple[int, ...] | None:
@@ -341,4 +380,6 @@ def cooperative_condition(fam: EdgeFamily, k: int, n: int) -> tuple[int, ...] | 
         raise ValueError(f"k must satisfy 1 <= k <= {m}")
     if n <= 0:
         return None
-    return _first_short_union(fam, (0,) * (k - 1) + (n,))
+    g = fam.graph
+    return _first_short_union(g, [_rows(g, s) for s in fam.sets],
+                              (0,) * (k - 1) + (n,))

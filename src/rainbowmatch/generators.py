@@ -5,7 +5,9 @@ seed."""
 
 from __future__ import annotations
 
-from .core import BipartiteGraph, EdgeFamily, cooperative_condition
+from itertools import compress
+
+from .core import BipartiteGraph, EdgeFamily, _edge_table, cooperative_condition
 from .rng import SplitMix64
 
 
@@ -57,20 +59,33 @@ def staircase_family(k: int, seed: int = 0) -> EdgeFamily:
     return EdgeFamily(g, tuple(sets))
 
 
+def _random_picks(graph: BipartiteGraph, members: int, rng: SplitMix64,
+                  permille: int) -> list[list[bool]]:
+    """members edge subsets as keep flags over the graph's sorted edges
+    (_edge_table order): each edge is kept with probability permille/1000,
+    drawn in that order, and a subset left empty gets one uniformly drawn
+    edge instead.  The search sums the flags into edge masks."""
+    width = len(_edge_table(graph)[0])
+    if not width:
+        raise ValueError("the graph has no edges to draw from")
+    below = rng.below  # chance(permille, 1000) is below(1000) < permille
+    picks = []
+    for _ in range(members):
+        keep = [below(1000) < permille for _ in range(width)]
+        if not any(keep):
+            keep[below(width)] = True
+        picks.append(keep)
+    return picks
+
+
 def random_family(graph: BipartiteGraph, members: int, rng: SplitMix64,
                   permille: int) -> EdgeFamily:
     """members edge subsets, each edge kept with probability permille/1000;
     a subset left empty gets one uniformly drawn edge instead."""
-    edges = sorted(graph.edges)
-    if not edges:
-        raise ValueError("the graph has no edges to draw from")
-    sets = []
-    for _ in range(members):
-        chosen = {e for e in edges if rng.chance(permille, 1000)}
-        if not chosen:
-            chosen = {rng.choice(edges)}
-        sets.append(frozenset(chosen))
-    return EdgeFamily._of_int_pairs(graph, tuple(sets))
+    edges = _edge_table(graph)[0]
+    return EdgeFamily._of_int_pairs(graph, tuple(
+        frozenset(compress(edges, keep))
+        for keep in _random_picks(graph, members, rng, permille)))
 
 
 def random_cooperative_family(n: int, k: int, graph: BipartiteGraph,

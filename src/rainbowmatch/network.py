@@ -93,7 +93,8 @@ class Network:
                             for u, v in self.arcs})
 
     def _index(self, ranks: dict, bits: dict) -> None:
-        self.__dict__.update(_ranks=ranks, _size=len(ranks), _bit=bits)
+        self.__dict__.update(_ranks=ranks, _size=len(ranks), _bit=bits,
+                             _arc_mask=sum(bits.values()))
 
     @classmethod
     def _from_mask(cls, inner: tuple, mask: int) -> "Network":
@@ -228,10 +229,11 @@ def is_st_path(net: Network, path: StPath) -> bool:
 class NetworkFamily:
     """Ordered multiset of arc sets over a shared network.
 
-    masks holds one arc mask per member; sets is the frozenset view.
-    origin maps member positions (1-based) to edge-family indices for
-    families from build_network, which also keep their member edges for
-    _least_witness; it is None for families built from arc sets.
+    masks holds one arc mask per member; sets is the frozenset view,
+    built on first use for families not given as sets.  origin maps member
+    positions (1-based) to edge-family indices for families from
+    build_network, which also keep their member edges for _least_witness;
+    it is None for families built from arc sets or masks.
     """
 
     network: Network
@@ -250,9 +252,26 @@ class NetworkFamily:
                              _sets=sets, _edges=None)
 
     @classmethod
-    def _over(cls, network: Network, masks: tuple, origin: tuple,
-              edges: tuple) -> "NetworkFamily":
-        """A family over masks of network arcs; edges as build_network keeps them."""
+    def from_masks(cls, network: Network, masks: Iterable[int]) -> "NetworkFamily":
+        """The family whose members are the given arc masks over network
+        (bit rank(u) * |V| + rank(v) is the arc (u, v)).  Each mask must be
+        a nonnegative int, not a bool, with no bit outside the network's
+        arcs."""
+        masks = tuple(masks)
+        outside = ~network._arc_mask
+        for idx, mask in enumerate(masks, start=1):
+            if type(mask) is not int or mask < 0:
+                raise ValueError(
+                    f"member {idx} must be a nonnegative int mask, got {mask!r}")
+            if mask & outside:
+                raise ValueError(f"member {idx} uses arcs outside the network")
+        return cls._over(network, masks, None, None)
+
+    @classmethod
+    def _over(cls, network: Network, masks: tuple, origin: tuple | None,
+              edges: tuple | None) -> "NetworkFamily":
+        """A family over masks of network arcs; edges as build_network
+        keeps them, or None."""
         nf = object.__new__(cls)
         nf.__dict__.update(network=network, masks=masks, origin=origin,
                            _sets=None, _edges=edges)

@@ -21,9 +21,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (BipartiteGraph, EdgeFamily, _first_short_union, _nu,
+from .core import (BipartiteGraph, EdgeFamily, _edge_table, _first_short_union,
+                   _mask_rows, _rainbow_walk, _rows, matching_number,
                    rainbow_matching_max)
-from .generators import random_family
+from .generators import _random_picks
 from .rng import SplitMix64
 
 TARGETS = ("c4.1", "c4.3")
@@ -52,7 +53,9 @@ def graded_union_condition(fam: EdgeFamily, k: int) -> bool:
     a k-subset, whose union's matching number already bounds nu(union K)
     from below by k.
     """
-    return _first_short_union(fam, tuple(range(1, min(k, len(fam)) + 1))) is None
+    g = fam.graph
+    return _first_short_union(g, [_rows(g, s) for s in fam.sets],
+                              tuple(range(1, min(k, len(fam)) + 1))) is None
 
 
 @lru_cache(maxsize=8)
@@ -71,20 +74,6 @@ def doubled_family(fam: EdgeFamily) -> EdgeFamily:
     return EdgeFamily._of_int_pairs(_doubled_graph(g), sets)
 
 
-def _check_c41(fam: EdgeFamily, k: int) -> tuple[bool, int | None]:
-    if not graded_union_condition(fam, k):
-        return False, None
-    size, _ = rainbow_matching_max(fam)
-    return True, size
-
-
-def _check_c43(fam: EdgeFamily, k: int) -> tuple[bool, int | None]:
-    if any(_nu(fam.graph, s) < k for s in fam.sets):
-        return False, None
-    size, _ = rainbow_matching_max(doubled_family(fam))
-    return True, size
-
-
 def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
                       budget: int = 100_000, seed: int = 0,
                       exhaustive: bool = False) -> SearchResult:
@@ -93,8 +82,9 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     Exhaustive mode enumerates all multisets of 2k-1 nonempty edge subsets
     of the graph (the checked statements are invariant under member order);
     it refuses spaces larger than the budget.  Sampling mode draws budget
-    seeded random families.  A found counterexample is re-verified before
-    being returned.
+    seeded random families.  Instances run as edge masks (_edge_table); a
+    counterexample found becomes an EdgeFamily, re-verified through the
+    public functions before it is returned.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")
@@ -105,48 +95,65 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     if graph is None:
         graph = BipartiteGraph.complete(2 if exhaustive else k + 1)
     members = 2 * k - 1
-    check = _check_c41 if target == "c4.1" else _check_c43
-    needed = k if target == "c4.1" else members
+    _, bits, disjoint = _edge_table(graph)
+    powers, width = tuple(bits.values()), len(bits)
+    if target == "c4.1":
+        floors, needed, shift = tuple(range(1, k + 1)), k, 0
+    else:
+        # the doubled graph's sorted edges are the edges, then their copies
+        # in the same order, so mask m doubles to m | m << width
+        floors, needed, shift = (k,), members, width
+        disjoint = _edge_table(_doubled_graph(graph))[2]
+
+    def rainbow_size(masks) -> int | None:
+        # None when masks fail the hypothesis, which puts the union's
+        # matching number at needed or above: needed is the walk's ceiling
+        if any(mask >> width for mask in masks):
+            raise ValueError("a member uses edges outside the graph")
+        rows = [_mask_rows(graph, bits, mask) for mask in masks]
+        if _first_short_union(graph, rows, floors) is not None:
+            return None
+        if shift:
+            masks = [mask | mask << shift for mask in masks]
+        return len(_rainbow_walk(masks, disjoint, needed))
 
     instances = 0
     passed = 0
     if exhaustive:
-        edges = sorted(graph.edges)
-        subsets = [frozenset(c) for size in range(1, len(edges) + 1)
-                   for c in itertools.combinations(edges, size)]
+        subsets = [sum(c) for size in range(1, width + 1)
+                   for c in itertools.combinations(powers, size)]
         space = _multiset_count(len(subsets), members)
         if space > budget:
             raise ValueError(
                 f"exhaustive space has {space} multisets, above the budget {budget}")
-        for combo in itertools.combinations_with_replacement(subsets, members):
-            instances += 1
-            fam = EdgeFamily._of_int_pairs(graph, combo)
-            ok, size = check(fam, k)
-            if not ok:
-                continue
-            passed += 1
-            if size < needed:
-                return _verified(target, k, fam, instances, passed, True, size)
-        return SearchResult(target, None, instances, passed, True)
-    rng = SplitMix64(seed)
-    for _ in range(budget):
+        draws = itertools.combinations_with_replacement(subsets, members)
+    else:
+        rng = SplitMix64(seed)
+        draws = ([sum(itertools.compress(powers, keep))
+                  for keep in _random_picks(graph, members, rng, 600)]
+                 for _ in range(budget))
+    for masks in draws:
         instances += 1
-        fam = random_family(graph, members, rng, permille=600)
-        ok, size = check(fam, k)
-        if not ok:
+        size = rainbow_size(masks)
+        if size is None:
             continue
         passed += 1
         if size < needed:
-            return _verified(target, k, fam, instances, passed, False, size)
-    return SearchResult(target, None, instances, passed, False)
+            fam = EdgeFamily(graph, tuple(
+                frozenset(e for e, bit in bits.items() if mask & bit) for mask in masks))
+            return _verified(target, k, fam, instances, passed, exhaustive, size)
+    return SearchResult(target, None, instances, passed, exhaustive)
 
 
 def _verified(target: str, k: int, fam: EdgeFamily, instances: int,
               passed: int, exhaustive: bool, size: int) -> SearchResult:
-    check = _check_c41 if target == "c4.1" else _check_c43
-    ok, size2 = check(fam, k)
-    needed = k if target == "c4.1" else 2 * k - 1
-    if not ok or size2 != size or size2 >= needed:
+    """fam's result once the public functions confirm hypothesis and size."""
+    if target == "c4.1":
+        ok, checked, needed = graded_union_condition(fam, k), fam, k
+    else:
+        ok = all(matching_number(fam.graph, s) >= k for s in fam.sets)
+        checked, needed = doubled_family(fam), 2 * k - 1
+    if not ok or rainbow_matching_max(checked)[0] != size or size >= needed:
         raise RuntimeError("counterexample failed re-verification")
     return SearchResult(target, fam, instances, passed, exhaustive, oracle_size=size)
 

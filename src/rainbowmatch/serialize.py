@@ -35,7 +35,50 @@ class CertificateError(ValueError):
 
 
 def dumps_canonical(payload: Any) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) plus a newline, byte for byte.
+
+    Any indent sends json to its pure-Python encoder, so the layout is
+    written here: strings through json's C string encoder, exact ints by
+    int.__repr__.  Everything else, a dict with a key json would convert
+    included, goes to json.dumps with its newlines re-indented.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write(value: Any, indent: str, out: list[str]) -> None:
+    """Append value's indent=2 text to out; indent is the newline and the
+    spaces that start value's last line."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        opener = "[" + inner
+        for item in value:
+            out.append(opener)
+            _write(item, inner, out)
+            opener = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict) and value \
+            and all(isinstance(key, str) for key in value):
+        inner = indent + "  "
+        opener = "{" + inner
+        for key, item in value.items():
+            out.append(opener + _encode_str(key) + ": ")
+            _write(item, inner, out)
+            opener = "," + inner
+        out.append(indent + "}")
+    else:
+        # json writes no raw newline inside a string, so each one it
+        # writes is layout
+        out.append(json.dumps(value, indent=2).replace("\n", indent))
 
 
 def _strict_int(raw: Any, what: str) -> int:

@@ -120,6 +120,21 @@ def naive_rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
     return len(best), RainbowMatching(best)
 
 
+def set_random_family(graph: BipartiteGraph, members: int, rng,
+                      permille: int) -> tuple[frozenset, ...]:
+    """Reference for random_family's draw, on sets: each edge in sorted
+    order kept when rng.chance(permille, 1000), a member left empty
+    replaced by one rng.choice of the sorted edges."""
+    edges = sorted(graph.edges)
+    sets = []
+    for _ in range(members):
+        chosen = {e for e in edges if rng.chance(permille, 1000)}
+        if not chosen:
+            chosen = {rng.choice(edges)}
+        sets.append(frozenset(chosen))
+    return tuple(sets)
+
+
 def has_augmenting_path(edge_pool, matching_edges) -> bool:
     """Berge's criterion: the matching is augmentable inside the pool iff
     it is not maximum there."""

@@ -46,6 +46,11 @@ def _mask_tables(inner):
     return subsets, haspath
 
 
+def _network_masks(net, subsets):
+    """Arc-subset index to the subset's arc mask over net."""
+    return [NetworkFamily(net, (s,)).masks[0] for s in subsets]
+
+
 def _multisets_passing(haspath, pair, count, k):
     """Multisets of `count` masks whose every k-union contains a path."""
     n = len(haspath)
@@ -111,10 +116,11 @@ def dichotomy_sweep():
         n = len(haspath)
         pair = [[haspath[a | b] for b in range(n)] for a in range(n)]
         net = Network(inner=inner, arcs=frozenset(_arc_space(inner)))
+        member_mask = _network_masks(net, subsets)
         for k in (1, 2):
             size = inner_count + k - 1
             for masks in _multisets_passing(haspath, pair, size, k):
-                nf = NetworkFamily(net, tuple(subsets[m] for m in masks))
+                nf = NetworkFamily.from_masks(net, [member_mask[m] for m in masks])
                 out = dichotomy(net, nf, k)
                 if isinstance(out, RainbowStPath):
                     outcomes["path"] += 1
@@ -213,10 +219,11 @@ def test_criterion_5_greedy_completeness():
         n = len(haspath)
         pair = [[haspath[a | b] for b in range(n)] for a in range(n)]
         net = Network(inner=inner, arcs=frozenset(_arc_space(inner)))
+        member_mask = _network_masks(net, subsets)
         for k in (1, 2):
             size = inner_count + k
             for masks in _multisets_passing(haspath, pair, size, k):
-                nf = NetworkFamily(net, tuple(subsets[m] for m in masks))
+                nf = NetworkFamily.from_masks(net, [member_mask[m] for m in masks])
                 out = greedy_rainbow_tree(net, nf)
                 assert isinstance(out, RainbowStPath), (inner, k, masks)
                 assert verify_rainbow_path(nf, out), (inner, k, masks)

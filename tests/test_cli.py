@@ -231,8 +231,9 @@ def test_search_command(capsys):
 
 
 def test_search_command_prints_counterexample(capsys, monkeypatch):
-    # an oracle that under-reports plants a counterexample on the first
-    # family passing the hypothesis
+    # a rainbow walk that under-reports, confirmed by the public oracle,
+    # plants a counterexample on the first family passing the hypothesis
+    monkeypatch.setattr(search, "_rainbow_walk", lambda masks, disjoint, goal: [])
     monkeypatch.setattr(search, "rainbow_matching_max", lambda fam: (0, None))
     monkeypatch.delenv("RAINBOW_SEED", raising=False)
     code, out, _ = run_cli(capsys, "search", "--conjecture", "c4.1",

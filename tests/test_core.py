@@ -9,6 +9,7 @@ from rainbowmatch import (BipartiteGraph, EdgeFamily, Matching,
                           RainbowMatching, cooperative_condition,
                           is_valid_rainbow, matching_number, max_matching,
                           rainbow_matching_max)
+from rainbowmatch.search import doubled_family
 
 from .helpers import (brute_matching_number, brute_rainbow_number,
                       dict_kuhn_matching, family_on, naive_rainbow_matching_max)
@@ -184,11 +185,14 @@ def test_rainbow_witness_matches_set_based_reference():
     assert any(a != b for a, b in shapes)
     assert any(frozenset() in fam.sets for fam in families)
     assert any(len(set(fam.sets)) < len(fam) for fam in families)
-    for fam in families:
+    # doubled families are what the c4.3 search hands the rainbow walk
+    doubled = [doubled_family(fam) for fam in families[::4]]
+    for fam in families + doubled:
         size, witness = rainbow_matching_max(fam)
         ref_size, ref_witness = naive_rainbow_matching_max(fam)
         assert (size, witness.assignment) == (ref_size, ref_witness.assignment), fam
         assert is_valid_rainbow(fam, witness, size=size)
+    for fam in families:
         for s in (*fam.sets, fam.union()):
             assert matching_number(fam.graph, s) == brute_matching_number(s)
 

@@ -11,6 +11,8 @@ from rainbowmatch.search import conjecture_search
 from rainbowmatch.rng import SplitMix64
 from rainbowmatch.serialize import family_dumps, family_loads
 
+from .helpers import set_random_family
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -100,6 +102,22 @@ def test_random_family_draw_is_pinned():
         [(1, 1), (1, 2), (3, 2)]]
     fam = random_family(BipartiteGraph.complete(2, 3), 4, SplitMix64(7), permille=300)
     assert [sorted(s) for s in fam.sets] == [[(2, 1)], [(1, 2), (2, 2)], [(1, 3)], [(1, 2)]]
+
+
+def test_random_family_draws_what_the_set_sampler_draws():
+    # the flag sampler keeps the stream: same members, same final RNG state
+    graphs = [BipartiteGraph.complete(1), BipartiteGraph.complete(3),
+              BipartiteGraph.complete(2, 5), BipartiteGraph.complete(8),
+              BipartiteGraph(3, 4, frozenset({(1, 1), (1, 2), (2, 2), (2, 3),
+                                              (3, 3), (3, 4), (1, 4)}))]
+    for seed in range(40):
+        for g in graphs:
+            for permille in (0, 1, 300, 600, 999, 1000):
+                ours, theirs = SplitMix64(seed), SplitMix64(seed)
+                fam = random_family(g, 1 + seed % 6, ours, permille)
+                assert fam.sets == set_random_family(g, 1 + seed % 6, theirs,
+                                                     permille)
+                assert ours._state == theirs._state
 
 
 def test_generators_are_seed_deterministic():

@@ -92,6 +92,26 @@ def test_network_family_requires_ambient_arcs():
         NetworkFamily(net, (frozenset({("v", "t")}),))
 
 
+def test_network_family_from_masks_matches_the_set_built_family():
+    inner = ("u", "v")
+    net = Network(inner=inner, arcs={("s", "u"), ("u", "v"), ("v", "t"), ("s", "t")})
+    rng = random.Random(3)
+    arcs = sorted(net.arcs, key=net.arc_key)
+    for _ in range(50):
+        sets = tuple(frozenset(a for a in arcs if rng.random() < 0.5)
+                     for _ in range(rng.randint(0, 4)))
+        by_sets = NetworkFamily(net, sets)
+        by_masks = NetworkFamily.from_masks(net, list(by_sets.masks))
+        assert by_masks == by_sets
+        assert by_masks.origin is None
+        assert by_masks.sets == sets
+    outside = net._mask_over([("u", "t")])
+    inside = by_sets.masks[0] if by_sets.masks else 0
+    for bad in (True, 1.0, "1", None, -1, -2, outside, inside | outside):
+        with pytest.raises(ValueError, match="member 2"):
+            NetworkFamily.from_masks(net, (0, bad))
+
+
 def test_build_network_four_cases():
     # one matched edge; the other member's edges hit all remaining cases
     fam = family_on(K22, {(1, 1)}, {(1, 2), (2, 1), (2, 2)})

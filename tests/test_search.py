@@ -5,6 +5,7 @@ import pytest
 
 from rainbowmatch import (BipartiteGraph, EdgeFamily, matching_number,
                           rainbow_matching_max, search)
+from rainbowmatch.core import _edge_table
 from rainbowmatch.search import (conjecture_search, doubled_family,
                                  graded_union_condition)
 
@@ -56,6 +57,36 @@ def test_doubled_family_structure():
     assert size == 3
 
 
+def _k_matchings(g, k):
+    return [frozenset(c) for c in itertools.combinations(sorted(g.edges), k)
+            if len({a for a, _ in c}) == len({b for _, b in c}) == k]
+
+
+@pytest.mark.parametrize("n, k, matchings, families", [
+    (3, 2, 18, 1_140),
+    (3, 3, 6, 252),
+    (4, 2, 72, 64_824),
+])
+def test_c43_holds_on_k_matching_members(n, k, matchings, families):
+    """c4.3 with every member a k-matching, exhaustively on K_{n,n}.
+
+    Adding edges to a member keeps both c4.3's hypothesis and its
+    conclusion, so a counterexample would shrink to one made of
+    k-matchings; these are all such families for the listed cases.  K_{4,4}
+    at k = 3 has about 75 million multisets and waits for an enumerator
+    that prunes prefixes and symmetric images."""
+    g = BipartiteGraph.complete(n)
+    members = _k_matchings(g, k)
+    assert len(members) == matchings
+    checked = 0
+    for combo in itertools.combinations_with_replacement(members, 2 * k - 1):
+        fam = EdgeFamily(g, combo)
+        size, _ = rainbow_matching_max(doubled_family(fam))
+        assert size >= 2 * k - 1, combo
+        checked += 1
+    assert checked == families
+
+
 def test_search_c41_base_case():
     result = conjecture_search("c4.1", k=1, budget=200, seed=3)
     assert not result.found
@@ -98,6 +129,58 @@ def test_search_stream_is_pinned(target, seed, budget, expected):
     assert (result.instances, result.hypothesis_passed) == expected
 
 
+G7 = BipartiteGraph(3, 4, frozenset({(1, 1), (1, 2), (2, 2), (2, 3), (3, 3),
+                                     (3, 4), (1, 4)}))
+# hypothesis_passed of 300 sampled instances on K_{k+1,k+1}, K_{k+1,k+2}
+# and G7, with seeds 3 and 2024 on each
+SAMPLED_PASSES = {
+    ("c4.1", 1): (300, 300, 300, 300, 300, 300),
+    ("c4.1", 2): (300, 300, 300, 300, 299, 300),
+    ("c4.1", 3): (300, 300, 300, 300, 269, 271),
+    ("c4.3", 1): (300, 300, 300, 300, 300, 300),
+    ("c4.3", 2): (289, 278, 297, 298, 257, 250),
+    ("c4.3", 3): (286, 289, 299, 299, 15, 10),
+}
+
+
+def test_doubled_edge_table_is_the_edges_then_their_copies():
+    # c4.3 doubles a member mask m as m | m << |E|, which needs this order
+    for g in (K22, BipartiteGraph.complete(3), BipartiteGraph.complete(2, 3), G7):
+        edges, _, _ = _edge_table(g)
+        doubled, bits, disjoint = _edge_table(search._doubled_graph(g))
+        assert doubled == edges + tuple((a + g.left_size, b + g.right_size)
+                                        for a, b in edges)
+        assert list(bits) == list(doubled)
+        for i, (a, b) in enumerate(doubled):
+            assert bits[a, b] == 1 << i
+            assert disjoint[i] == sum(1 << j for j, (c, d) in enumerate(doubled)
+                                      if c != a and d != b)
+
+
+@pytest.mark.parametrize("target, k", sorted(SAMPLED_PASSES))
+def test_search_counts_are_pinned_across_graphs(target, k):
+    graphs = (BipartiteGraph.complete(k + 1), BipartiteGraph.complete(k + 1, k + 2), G7)
+    counts = []
+    for g in graphs:
+        for seed in (3, 2024):
+            result = conjecture_search(target, k=k, graph=g, budget=300, seed=seed)
+            assert not result.found and result.instances == 300
+            counts.append(result.hypothesis_passed)
+    assert tuple(counts) == SAMPLED_PASSES[target, k]
+
+
+@pytest.mark.parametrize("target, k, expected", [
+    ("c4.1", 1, (15, 15)),
+    ("c4.1", 2, (680, 428)),
+    ("c4.3", 1, (15, 15)),
+    ("c4.3", 2, (680, 84)),
+])
+def test_exhaustive_search_counts_are_pinned(target, k, expected):
+    result = conjecture_search(target, k=k, graph=K22, budget=10_000, exhaustive=True)
+    assert not result.found and result.exhaustive
+    assert (result.instances, result.hypothesis_passed) == expected
+
+
 def test_search_validates_arguments():
     with pytest.raises(ValueError):
         conjecture_search("c9.9", k=2)
@@ -128,19 +211,21 @@ def test_search_counterexample_detection_on_planted_instance():
     assert result.hypothesis_passed == 0
 
 
-def under_reporting_oracle(monkeypatch, sizes=None):
-    """Make the search's rainbow oracle report size 0, or the given sizes
-    call by call, so a counterexample is planted on the first family that
-    passes the hypothesis."""
-    sizes = iter(sizes) if sizes is not None else itertools.repeat(0)
-    monkeypatch.setattr(search, "rainbow_matching_max",
-                        lambda fam: (next(sizes), None))
+def plant_counterexample(monkeypatch, public=0):
+    """Make the search's private rainbow walk choose nothing, so a
+    counterexample is planted on the first family that passes the
+    hypothesis.  The public oracle, which re-verifies it, reports size
+    public, or stays the real one when public is None."""
+    monkeypatch.setattr(search, "_rainbow_walk", lambda masks, disjoint, goal: [])
+    if public is not None:
+        monkeypatch.setattr(search, "rainbow_matching_max",
+                            lambda fam: (public, None))
 
 
 @pytest.mark.parametrize("target", ["c4.1", "c4.3"])
 def test_search_returns_planted_counterexample(monkeypatch, target):
     K33 = BipartiteGraph.complete(3)
-    under_reporting_oracle(monkeypatch)
+    plant_counterexample(monkeypatch)
     result = conjecture_search(target, k=2, graph=K33, budget=200, seed=5)
     assert result.found and result.target == target
     assert result.oracle_size == 0
@@ -159,7 +244,7 @@ def test_search_returns_planted_counterexample(monkeypatch, target):
 
 
 def test_search_exhaustive_counterexample_counts(monkeypatch):
-    under_reporting_oracle(monkeypatch)
+    plant_counterexample(monkeypatch)
     result = conjecture_search("c4.1", k=2, graph=K22, budget=10_000,
                                exhaustive=True)
     assert result.found and result.exhaustive
@@ -169,8 +254,19 @@ def test_search_exhaustive_counterexample_counts(monkeypatch):
 
 
 def test_search_refuses_counterexample_that_does_not_reverify(monkeypatch):
-    # the oracle under-reports once, then disagrees on the re-check
-    under_reporting_oracle(monkeypatch, sizes=[0, 1])
+    # the private walk under-reports; the public oracle reports another size
+    plant_counterexample(monkeypatch, public=1)
     with pytest.raises(RuntimeError, match="re-verification"):
         conjecture_search("c4.1", k=2, graph=BipartiteGraph.complete(3),
+                          budget=200, seed=5)
+
+
+@pytest.mark.parametrize("target", ["c4.1", "c4.3"])
+def test_search_refuses_counterexample_the_public_oracle_rejects(monkeypatch,
+                                                                 target):
+    # only the private walk under-reports; the real public oracle finds the
+    # full size on re-verification
+    plant_counterexample(monkeypatch, public=None)
+    with pytest.raises(RuntimeError, match="counterexample failed re-verification"):
+        conjecture_search(target, k=2, graph=BipartiteGraph.complete(3),
                           budget=200, seed=5)

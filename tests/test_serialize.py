@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch import (BipartiteGraph, EdgeFamily, NetworkFamily,
                           RainbowMatching, Regimentation, StPath,
@@ -231,3 +233,23 @@ def test_canonical_dump_has_lf_and_trailing_newline():
     text = dumps_canonical({"a": [1, 2]})
     assert "\r" not in text
     assert text.endswith("\n")
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.floats(allow_nan=True, allow_infinity=True), st.text())
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        # a non-str key sends the whole payload to json.dumps
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(),
+                                  st.booleans(), st.none()), inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_canonical_dump_is_json_dumps_with_indent_2(payload):
+    assert dumps_canonical(payload) == json.dumps(payload, indent=2) + "\n"
