@@ -77,9 +77,10 @@ class Network:
             raise ValueError("source and target cannot be inner vertices")
         if len(set(inner)) != len(inner):
             raise ValueError("inner vertices repeat")
-        verts = {SOURCE, *inner, TARGET}
+        verts = (SOURCE, *inner, TARGET)
+        ranks = {v: i for i, v in enumerate(verts)}
         for u, v in self.arcs:
-            if u not in verts or v not in verts:
+            if u not in ranks or v not in ranks:
                 raise ValueError(f"arc ({u!r}, {v!r}) leaves the vertex set")
             if u == v:
                 raise ValueError("self-loops are not allowed")
@@ -87,14 +88,13 @@ class Network:
                 raise ValueError("no arc may enter the source")
             if u == TARGET:
                 raise ValueError("no arc may leave the target")
-        ranks = {v: i for i, v in enumerate((SOURCE, *inner, TARGET))}
-        size = len(ranks)
-        self._index(ranks, {(u, v): 1 << (ranks[u] * size + ranks[v])
-                            for u, v in self.arcs})
+        size = len(verts)
+        self._index(verts, ranks, {(u, v): 1 << (ranks[u] * size + ranks[v])
+                                   for u, v in self.arcs})
 
-    def _index(self, ranks: dict, bits: dict) -> None:
-        self.__dict__.update(_ranks=ranks, _size=len(ranks), _bit=bits,
-                             _arc_mask=sum(bits.values()))
+    def _index(self, verts: tuple, ranks: dict, bits: dict) -> None:
+        self.__dict__.update(_verts=verts, _ranks=ranks, _size=len(verts),
+                             _bit=bits, _arc_mask=sum(bits.values()))
 
     @classmethod
     def _from_mask(cls, inner: tuple, mask: int) -> "Network":
@@ -114,12 +114,12 @@ class Network:
             bits[(verts[u], verts[v])] = low
         net = object.__new__(cls)
         net.__dict__.update(inner=inner, arcs=frozenset(bits))
-        net._index({v: i for i, v in enumerate(verts)}, bits)
+        net._index(verts, {v: i for i, v in enumerate(verts)}, bits)
         return net
 
     @property
     def vertices(self) -> tuple:
-        return (SOURCE, *self.inner, TARGET)
+        return self._verts
 
     def rank(self, v) -> int:
         try:
@@ -146,8 +146,11 @@ class Network:
         return frozenset(arc for arc, bit in self._bit.items() if mask & bit)
 
     def _path(self, ranks: Iterable[int]) -> "StPath":
-        verts = self.vertices
-        return StPath(tuple(verts[i] for i in ranks))
+        """The path through the vertices of the given ranks, unchecked:
+        verify_rainbow_path and verify_regimentation check paths."""
+        path = object.__new__(StPath)
+        path.__dict__["vertices"] = tuple(map(self._verts.__getitem__, ranks))
+        return path
 
 
 @lru_cache(maxsize=32)
@@ -216,13 +219,24 @@ class StPath:
         return self.vertices[1:-1]
 
 
-def is_st_path(net: Network, path: StPath) -> bool:
-    """Whether path runs from the source to the target through inner
-    vertices of net.  Its arcs need not be network arcs: certificate paths
-    only need to live over the vertex set."""
+def _path_ranks(net: Network, path: StPath) -> list[int] | None:
+    """The ranks of path's vertices when it runs from the source to the
+    target through distinct vertices of net, else None.  Its arcs need not
+    be network arcs: certificate paths only need to live over the vertex
+    set."""
     verts = path.vertices
-    return (verts[0] == SOURCE and verts[-1] == TARGET
-            and set(path.interior) <= set(net.inner))
+    if len(verts) < 2 or verts[0] != SOURCE or verts[-1] != TARGET:
+        return None
+    ranks = net._ranks
+    out = []
+    seen = 0
+    for v in verts:
+        rank = ranks.get(v)
+        if rank is None or seen >> rank & 1:
+            return None
+        seen |= 1 << rank
+        out.append(rank)
+    return out
 
 
 @dataclass(frozen=True, init=False)

@@ -9,13 +9,13 @@ equal-mask pruning) used to certify that no rainbow path exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Mapping
 
 from .core import _kuhn, _require_ints
 from .network import (BoundExceeded, Network, NetworkFamily, StPath,
-                      _rank_paths, is_st_path)
+                      _path_ranks, _rank_paths)
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,33 @@ class RainbowStPath:
         if len(set(rep.values())) != len(rep):
             raise ValueError("representation must use distinct members")
 
+    @classmethod
+    def _unchecked(cls, path: StPath, representation: dict) -> "RainbowStPath":
+        """An engine result, built without the checks above:
+        verify_rainbow_path is the one complete check."""
+        rp = object.__new__(cls)
+        rp.__dict__.update(path=path, representation=representation)
+        return rp
+
 
 def verify_rainbow_path(nf: NetworkFamily, rp: RainbowStPath) -> bool:
-    """Independent validity check: a real source-target path over the
-    network, injectively represented, every arc owned by its member."""
-    if not is_st_path(nf.network, rp.path):
+    """Independent validity check: a source-target path through distinct
+    network vertices whose arc positions 0 .. arcs - 1 are represented by
+    distinct members (ints, not bools), each owning its arc."""
+    ranks = _path_ranks(nf.network, rp.path)
+    rep = rp.representation
+    if ranks is None or len(rep) != len(ranks) - 1:
         return False
-    arcs = rp.path.arcs
-    members = list(rp.representation.values())
-    if len(set(members)) != len(members):
-        return False
-    bit = nf.network._bit
-    for j, m in rp.representation.items():
-        if not 1 <= m <= len(nf) or not nf.masks[m - 1] & bit.get(arcs[j], 0):
+    size, masks = nf.network._size, nf.masks
+    arcs, members = len(rep), len(masks)
+    used = 0
+    for j, m in rep.items():
+        if (type(j) is not int or type(m) is not int
+                or not 0 <= j < arcs or not 1 <= m <= members
+                or used >> m & 1
+                or not masks[m - 1] >> (ranks[j] * size + ranks[j + 1]) & 1):
             return False
+        used |= 1 << m
     return True
 
 
@@ -66,6 +79,12 @@ class GreedyStuck:
     unrepresented: tuple[int, ...]
 
 
+@lru_cache(maxsize=32)
+def _tree_masks(size: int) -> tuple[int, int]:
+    """(arcs out of rank 0, arcs into rank 0) over size vertices."""
+    return (1 << size) - 1, sum(1 << (u * size) for u in range(size))
+
+
 def greedy_rainbow_tree(net: Network, nf: NetworkFamily) -> RainbowStPath | GreedyStuck:
     """Grow a rainbow tree from the source, one arc per unused member.
 
@@ -76,8 +95,7 @@ def greedy_rainbow_tree(net: Network, nf: NetworkFamily) -> RainbowStPath | Gree
     """
     size = net._size
     target = size - 1
-    row = (1 << size) - 1                               # arcs out of rank 0
-    column = sum(1 << (u * size) for u in range(size))  # arcs into rank 0
+    row, column = _tree_masks(size)
     masks = nf.masks
     unused = list(range(1, len(masks) + 1))
     parent: dict[int, tuple[int, int]] = {}
@@ -104,8 +122,8 @@ def greedy_rainbow_tree(net: Network, nf: NetworkFamily) -> RainbowStPath | Gree
         up, member = parent[ranks[-1]]
         reps_reversed.append(member)
         ranks.append(up)
-    return RainbowStPath(net._path(reversed(ranks)),
-                         dict(enumerate(reversed(reps_reversed))))
+    return RainbowStPath._unchecked(net._path(reversed(ranks)),
+                                    dict(enumerate(reversed(reps_reversed))))
 
 
 def exhaustive_rainbow_path(net: Network, nf: NetworkFamily,
@@ -165,10 +183,10 @@ def exhaustive_rainbow_path(net: Network, nf: NetworkFamily,
             used |= low
             rep.append(low.bit_length() - 1)
         else:
-            return RainbowStPath(net._path(ranks), dict(enumerate(rep)))
+            return RainbowStPath._unchecked(net._path(ranks), dict(enumerate(rep)))
         # stalled: backtrack only when the Kuhn kernel finds distinct owners
         rep.clear()
         if (_kuhn([0, *rows], [0] * (len(masks) + 1), 0, arcs).bit_count() == arcs
                 and assign(rows, 0, 0)):
-            return RainbowStPath(net._path(ranks), dict(enumerate(rep)))
+            return RainbowStPath._unchecked(net._path(ranks), dict(enumerate(rep)))
     return None

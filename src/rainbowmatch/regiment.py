@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .core import _require_ints
 from .network import (SOURCE, TARGET, Network, NetworkFamily, StPath,
-                      _mask_has_path, _rank_paths, is_st_path)
+                      _mask_has_path, _path_ranks, _rank_paths)
 from .paths import exhaustive_rainbow_path
 
 
@@ -90,16 +90,17 @@ def useless_arcs(net: Network, q: StPath) -> frozenset:
 def verify_regimentation(net: Network, nf: NetworkFamily,
                          r: Regimentation) -> str | None:
     """None when the certificate is valid, else the first violated
-    requirement: "paths" (not source-target paths over the network),
-    "disjoint", "assignment" (dangling references), then conditions
-    "1" (vertex cover), "2" (arc containment), "3" (representative count).
+    requirement: "paths" (not source-target paths through distinct
+    network vertices), "disjoint", "assignment" (dangling references),
+    then conditions "1" (vertex cover), "2" (arc containment), "3"
+    (representative count).
 
     Path arcs need not belong to the network: condition 2 pins the arcs of
     every assigned path inside a member anyway, and a bare source-target
     path carrying no members is legitimate cover.
     """
     for q in r.paths:
-        if not is_st_path(net, q):
+        if _path_ranks(net, q) is None:
             return "paths"
     interiors = [set(q.interior) for q in r.paths]
     for i, j in itertools.combinations(range(len(r.paths)), 2):

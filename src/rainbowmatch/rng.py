@@ -15,7 +15,8 @@ shuffles are Fisher-Yates from the top.
 
 from __future__ import annotations
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -39,14 +40,19 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform draw from range(n)."""
-        if n <= 0:
-            raise ValueError("need a positive bound")
-        threshold = (_MASK + 1) - ((_MASK + 1) % n)
+        """Uniform draw from range(n), for an int n from 1 to 2**64.
+
+        A draw r is kept when r - r % n <= 2**64 - n, that is, when r lies
+        below the largest multiple of n that is at most 2**64.
+        """
+        if type(n) is not int or not 0 < n <= _SPAN:
+            raise ValueError(f"need an int bound from 1 to 2**64, got {n!r}")
+        top = _SPAN - n
         while True:
             r = self.next_u64()
-            if r < threshold:
-                return r % n
+            low = r % n
+            if r - low <= top:
+                return low
 
     def chance(self, numerator: int, denominator: int) -> bool:
         """True with probability numerator/denominator."""

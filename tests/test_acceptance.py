@@ -10,6 +10,9 @@ per-criterion lines.
 
 import itertools
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import pytest
 
@@ -37,33 +40,39 @@ def _arc_space(inner):
             if u != v and u != "t" and v != "s"]
 
 
-def _mask_tables(inner):
+@lru_cache(maxsize=None)
+def _stratum_tables(inner_count):
+    """(inner, haspath, pair, net, member_mask) for the full-arc network
+    on inner_count inner vertices: per arc-subset index, whether the
+    subset holds a path, whether two subsets' union does, and the
+    subset's arc mask over net."""
+    inner = tuple("uv"[i] for i in range(inner_count))
     arcs = _arc_space(inner)
     n = 1 << len(arcs)
     subsets = [frozenset(a for i, a in enumerate(arcs) if m >> i & 1)
                for m in range(n)]
     haspath = [has_st_path(s, "s", "t") for s in subsets]
-    return subsets, haspath
+    pair = [[haspath[a | b] for b in range(n)] for a in range(n)]
+    net = Network(inner=inner, arcs=frozenset(arcs))
+    member_mask = [NetworkFamily(net, (s,)).masks[0] for s in subsets]
+    return inner, haspath, pair, net, member_mask
 
 
-def _network_masks(net, subsets):
-    """Arc-subset index to the subset's arc mask over net."""
-    return [NetworkFamily(net, (s,)).masks[0] for s in subsets]
-
-
-def _multisets_passing(haspath, pair, count, k):
-    """Multisets of `count` masks whose every k-union contains a path."""
+def _multisets_passing(haspath, pair, count, k, firsts=None):
+    """Multisets of `count` masks whose every k-union contains a path, in
+    lexicographic order; firsts restricts the least mask (default: all)."""
     n = len(haspath)
+    firsts = range(n) if firsts is None else firsts
     if count == 0:
         yield ()
         return
     if count == 1:
-        for a in range(n):
+        for a in firsts:
             if k > 1 or haspath[a]:
                 yield (a,)
         return
     if count == 2:
-        for a in range(n):
+        for a in firsts:
             for b in range(a, n):
                 if k == 1:
                     if haspath[a] and haspath[b]:
@@ -72,7 +81,7 @@ def _multisets_passing(haspath, pair, count, k):
                     yield (a, b)
         return
     if count == 3:
-        for a in range(n):
+        for a in firsts:
             pa = pair[a]
             for b in range(a, n):
                 if k == 1 and not (haspath[a] and haspath[b]):
@@ -88,7 +97,7 @@ def _multisets_passing(haspath, pair, count, k):
                         yield (a, b, c)
         return
     if count == 4 and k == 2:
-        for a in range(n):
+        for a in firsts:
             pa = pair[a]
             for b in range(a, n):
                 if not pa[b]:
@@ -111,12 +120,7 @@ def dichotomy_sweep():
     outcomes = {"path": 0, "certificate": 0, "violation": 0}
     certificates = []
     for inner_count in (0, 1, 2):
-        inner = tuple("uv"[i] for i in range(inner_count))
-        subsets, haspath = _mask_tables(inner)
-        n = len(haspath)
-        pair = [[haspath[a | b] for b in range(n)] for a in range(n)]
-        net = Network(inner=inner, arcs=frozenset(_arc_space(inner)))
-        member_mask = _network_masks(net, subsets)
+        _, haspath, pair, net, member_mask = _stratum_tables(inner_count)
         for k in (1, 2):
             size = inner_count + k - 1
             for masks in _multisets_passing(haspath, pair, size, k):
@@ -211,23 +215,35 @@ def test_criterion_4_dichotomy_exhaustive(dichotomy_sweep):
            f"{outcomes['violation']} violations")
 
 
-def test_criterion_5_greedy_completeness():
+def _greedy_slice(inner_count, k, first, stop):
+    """Criterion 5's checks on the (inner_count, k) stratum's multisets
+    whose least mask lies in range(first, stop); the number checked.
+    Module-level, so worker processes can import it by name."""
+    inner, haspath, pair, net, member_mask = _stratum_tables(inner_count)
     checked = 0
+    for masks in _multisets_passing(haspath, pair, inner_count + k, k,
+                                    range(first, stop)):
+        nf = NetworkFamily.from_masks(net, [member_mask[m] for m in masks])
+        out = greedy_rainbow_tree(net, nf)
+        assert isinstance(out, RainbowStPath), (inner, k, masks)
+        assert verify_rainbow_path(nf, out), (inner, k, masks)
+        checked += 1
+    return checked
+
+
+def test_criterion_5_greedy_completeness():
+    # each stratum's least-mask range in up to 32 contiguous slices: the
+    # low slices carry the most multisets, so narrow ones keep every
+    # worker busy; the counts merge in slice order
+    slices = []
     for inner_count in (0, 1, 2):
-        inner = tuple("uv"[i] for i in range(inner_count))
-        subsets, haspath = _mask_tables(inner)
-        n = len(haspath)
-        pair = [[haspath[a | b] for b in range(n)] for a in range(n)]
-        net = Network(inner=inner, arcs=frozenset(_arc_space(inner)))
-        member_mask = _network_masks(net, subsets)
+        n = len(_stratum_tables(inner_count)[1])
+        step = -(-n // 32)
         for k in (1, 2):
-            size = inner_count + k
-            for masks in _multisets_passing(haspath, pair, size, k):
-                nf = NetworkFamily.from_masks(net, [member_mask[m] for m in masks])
-                out = greedy_rainbow_tree(net, nf)
-                assert isinstance(out, RainbowStPath), (inner, k, masks)
-                assert verify_rainbow_path(nf, out), (inner, k, masks)
-                checked += 1
+            slices += [(inner_count, k, first, min(first + step, n))
+                       for first in range(0, n, step)]
+    with ProcessPoolExecutor(min(os.cpu_count() or 1, len(slices))) as pool:
+        checked = sum(pool.map(_greedy_slice, *zip(*slices)))
     report(5, checked == 9_888_863,
            f"greedy returned an independently verified rainbow path on "
            f"{checked} instances at one past the critical size")

@@ -136,3 +136,36 @@ def test_splitmix64_reference_stream():
     stream = [rng.next_u64() for _ in range(3)]
     assert stream == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
     assert SplitMix64(42).below(10) == SplitMix64(42).below(10)
+
+
+def _reference_below(rng, n, draws):
+    """below() by the threshold formula it replaced; draws counts every
+    64-bit value taken from rng."""
+    threshold = (1 << 64) - ((1 << 64) % n)
+    while True:
+        r = rng.next_u64()
+        draws.append(r)
+        if r < threshold:
+            return r % n
+
+
+def test_below_keeps_the_threshold_stream():
+    bounds = (1, 2, 3, 1000, 2**32 + 1, 2**63 + 5, 2**64)
+    for seed in (0, 1, 42, 7919, 2**64 - 1):
+        for n in bounds:
+            ours, theirs = SplitMix64(seed), SplitMix64(seed)
+            draws = []
+            assert [ours.below(n) for _ in range(300)] == \
+                [_reference_below(theirs, n, draws) for _ in range(300)], (seed, n)
+            assert ours._state == theirs._state, (seed, n)
+            if n == 2**63 + 5:  # about half of all draws are rejected
+                assert len(draws) > 400, seed
+
+
+@pytest.mark.parametrize("bound", [0, -1, 2**64 + 1, 2**65, 2.5, 3.0, True,
+                                   False, "3", None])
+def test_below_refuses_bounds_outside_one_to_two_to_the_64(bound):
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match="need an int bound"):
+        rng.below(bound)
+    assert rng._state == SplitMix64(1)._state   # nothing was drawn

@@ -27,6 +27,55 @@ def test_rainbow_path_validation():
     assert not verify_rainbow_path(nf, RainbowStPath(p, {0: 1, 1: 2}))
 
 
+def _spine_family():
+    """Members 1 and 2 own the spine s -> u -> v -> t between them; member
+    3 owns only (s, u)."""
+    return abstract_family(("u", "v"), [{("s", "u"), ("v", "t")},
+                                        {("u", "v")}, {("s", "u")}])
+
+
+@pytest.mark.parametrize("ranks, rep", [
+    ((0, 1, 2, 3), {0: 1, 1: 2, 2: 1}),             # member 1 twice
+    ((0, 1, 2, 1, 3), {0: 1, 1: 2, 2: 3, 3: 1}),    # vertex u twice
+    ((0, 1, 2, 3), {0: 1, 1: 2}),                   # arc 2 unrepresented
+    ((0, 1, 2, 3), {1: 2, 2: 1}),                   # arc 0 unrepresented
+    ((0, 1, 2, 3), {0: 3, 1: 2, 2: 1, 3: 1}),       # a fourth position
+    ((0, 1, 2, 3), {0: 3, 1: 2, 3: 1}),             # arc 2 missed, 3 extra
+    ((0, 1, 2, 3), {-1: 3, 1: 2, 2: 1}),            # a negative position
+    ((0, 1, 2, 3), {0: 3, True: 2, 2: 1}),          # a bool position
+    ((0, 1, 2, 3), {0: 3, 1.0: 2, 2: 1}),           # a float position
+    ((0, 1, 2, 3), {0: 3, 1: True, 2: 1}),          # a bool member
+    ((0, 1, 2, 3), {0: 3, 1: 2.0, 2: 1}),           # a float member
+    ((0, 1, 2, 3), {0: 3, 1: 2, 2: 4}),             # past the last member
+    ((0, 1, 2, 3), {0: 0, 1: 2, 2: 1}),             # member 0
+    ((0, 1, 2, 3), {0: 3, 1: 1, 2: 2}),             # arcs not owned
+    ((0, 1, 2), {0: 3, 1: 2}),                      # ends at v
+    ((1, 2, 3), {0: 2, 1: 1}),                      # starts at u
+    ((0, 3), {0: 1}),                               # s -> t, not an arc
+    ((3, 0), {0: 1}),                               # backwards
+    ((), {}),                                       # no vertices
+    ((0,), {}),                                     # the source alone
+])
+def test_verifier_refuses_malformed_results(ranks, rep):
+    nf = _spine_family()
+    good = RainbowStPath._unchecked(nf.network._path((0, 1, 2, 3)),
+                                    {0: 3, 1: 2, 2: 1})
+    assert verify_rainbow_path(nf, good)
+    bad = RainbowStPath._unchecked(nf.network._path(ranks), rep)
+    assert not verify_rainbow_path(nf, bad)
+
+
+def test_verifier_refuses_vertices_outside_the_network():
+    nf = _spine_family()
+    # rank 2 of the wider network is w, which nf's network does not hold
+    wider = abstract_family(("u", "w", "v"), [{("s", "u")}]).network
+    for ranks, rep in (((0, 1, 2, 4), {0: 3, 1: 2, 2: 1}),
+                       ((0, 2, 4), {0: 3, 1: 1})):
+        bad = RainbowStPath._unchecked(wider._path(ranks), rep)
+        assert bad.path.vertices[-1] == "t"
+        assert not verify_rainbow_path(nf, bad)
+
+
 @pytest.mark.parametrize("build", [
     lambda: Regimentation((StPath(("s", "v", "t")),), {True: 0.9, 2.7: 0}),
     lambda: RainbowStPath(StPath(("s", "v", "t")), {0.5: 1, True: 2.9}),
@@ -242,6 +291,13 @@ def test_mask_engines_match_naive_references():
         assert greedy == naive_greedy_rainbow_tree(net, nf), members
         exhaustive = exhaustive_rainbow_path(net, nf)
         assert exhaustive == naive_exhaustive_rainbow_path(net, nf), members
+        # the engines build their results unchecked: each must equal the
+        # validated public construction and pass the one complete check
+        for found in (greedy, exhaustive):
+            if isinstance(found, RainbowStPath):
+                assert found == RainbowStPath(StPath(found.path.vertices),
+                                              found.representation), members
+                assert verify_rainbow_path(nf, found), members
         outcomes.add((type(greedy).__name__, exhaustive is None))
     assert outcomes == {("RainbowStPath", False), ("GreedyStuck", False),
                         ("GreedyStuck", True)}

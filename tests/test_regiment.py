@@ -119,6 +119,18 @@ def test_verify_regimentation_cover_and_containment():
     assert verify_regimentation(nf.network, nf, bad_path) == "paths"
 
 
+def test_verify_regimentation_refuses_a_repeated_vertex():
+    # a walk through u twice meets conditions 1-3, so only the path check
+    # stands between it and a valid verdict; the unchecked path that
+    # find_regimentation builds does not refuse the repeat itself
+    walk = {("s", "u"), ("u", "v"), ("v", "u"), ("u", "t")}
+    nf = abstract_family(("u", "v"), [walk] * 3)
+    cert = Regimentation((nf.network._path((0, 1, 2, 1, 3)),),
+                         {1: 0, 2: 0, 3: 0})
+    assert cert.paths[0].vertices == ("s", "u", "v", "u", "t")
+    assert verify_regimentation(nf.network, nf, cert) == "paths"
+
+
 def test_find_regimentation_examples():
     nf = abstract_family(("u", "v"),
                          [{("s", "u"), ("u", "t")}, {("s", "v"), ("v", "t")}])
