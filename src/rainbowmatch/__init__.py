@@ -10,7 +10,7 @@ counterexample-search harness.
 from .core import (BipartiteGraph, Edge, EdgeFamily, Matching,
                    RainbowMatching, cooperative_condition, is_valid_rainbow,
                    matching_number, max_matching, rainbow_matching_max)
-from .network import (SOURCE, TARGET, BoundExceeded, Network, NetworkFamily,
+from .network import (SOURCE, TARGET, Network, NetworkFamily,
                       RepresentationClash, StPath, augment, build_network,
                       has_st_path)
 from .paths import (GreedyStuck, RainbowStPath, exhaustive_rainbow_path,
@@ -33,7 +33,7 @@ __all__ = [
     "BipartiteGraph", "Edge", "EdgeFamily", "Matching", "RainbowMatching",
     "cooperative_condition", "is_valid_rainbow", "matching_number",
     "max_matching", "rainbow_matching_max",
-    "SOURCE", "TARGET", "BoundExceeded", "Network", "NetworkFamily",
+    "SOURCE", "TARGET", "Network", "NetworkFamily",
     "RepresentationClash", "StPath", "augment", "build_network",
     "has_st_path",
     "GreedyStuck", "RainbowStPath", "exhaustive_rainbow_path",

@@ -25,7 +25,7 @@ import sys
 
 from .core import EdgeFamily
 from .generators import drisko_family, sharpness_family, staircase_family
-from .network import BoundExceeded, build_network
+from .network import build_network
 from .regiment import check_structure_lemmas, verify_regimentation
 from .search import TARGETS, conjecture_search
 from .serialize import (CertificateError, ParseError, dumps_canonical,
@@ -101,8 +101,7 @@ def _seed(args) -> int:
 def _cmd_solve(args) -> int:
     fam = _load_family(args.input)
     trail: list = []
-    outcome = solve_main(fam.graph, fam, args.k, args.n,
-                         mode=args.mode, trail=trail)
+    outcome = solve_main(fam, args.k, args.n, mode=args.mode, trail=trail)
     if isinstance(outcome, HypothesisFailure):
         print(dumps_canonical({"schema": "rainbow/1",
                                "hypothesis_failure": list(outcome.indices)}),
@@ -194,7 +193,7 @@ def _cmd_search(args) -> int:
 def _cmd_export_dot(args) -> int:
     fam = _load_family(args.input)
     rm = matching_from_certificate(_load_certificate(args.matching))
-    net, _ = build_network(fam.graph, fam, rm)
+    net, _ = build_network(fam, rm)
     reg = None
     if args.regimentation:
         reg = regimentation_from_certificate(
@@ -270,7 +269,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_MALFORMED_CERT
-    except (ValueError, BoundExceeded) as exc:
+    except ValueError as exc:
         # after the two above: ParseError and CertificateError are ValueErrors
         print(f"parameter mismatch: {exc}", file=sys.stderr)
         return EXIT_PARAMS

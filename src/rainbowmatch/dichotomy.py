@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .network import Network, NetworkFamily, _mask_has_path
+from .network import Network, NetworkFamily, _mask_has_path, _network_of
 from .paths import RainbowStPath, exhaustive_rainbow_path
 from .regiment import Regimentation, find_regimentation
 
@@ -36,19 +36,17 @@ class TheoremViolation:
     detail: str
 
 
-def path_or_certificate(net: Network, nf: NetworkFamily
+def path_or_certificate(nf: NetworkFamily
                         ) -> RainbowStPath | Regimentation | TheoremViolation:
-    """The least rainbow source-target path if one exists, else the
-    verified regimentation, else a TheoremViolation.
+    """The least rainbow source-target path over nf's network if one
+    exists, else the verified regimentation, else a TheoremViolation.
 
     Neither the family size nor the k-union hypothesis is checked here.
-    Unlike a standalone exhaustive_rainbow_path call, the path search
-    takes networks of any size.
     """
-    found = exhaustive_rainbow_path(net, nf, bound=len(net.inner))
+    found = exhaustive_rainbow_path(nf.network, nf)
     if found is not None:
         return found
-    certificate = find_regimentation(net, nf)
+    certificate = find_regimentation(nf.network, nf)
     if certificate is not None:
         return certificate
     return TheoremViolation(
@@ -63,6 +61,7 @@ def dichotomy(net: Network, nf: NetworkFamily, k: int
     The two outcomes are not mutually exclusive; the path branch is tried
     first because it is the cheap, useful one.
     """
+    net = _network_of(net, nf)
     m = len(nf)
     if m != len(net.inner) + k - 1:
         raise ValueError("family size must be inner-count + k - 1")
@@ -71,4 +70,4 @@ def dichotomy(net: Network, nf: NetworkFamily, k: int
         if not _mask_has_path(reduce(or_, (masks[p - 1] for p in picked), 0),
                               net._size):
             raise UnionPathError(picked)
-    return path_or_certificate(net, nf)
+    return path_or_certificate(nf)

@@ -62,13 +62,13 @@ def staircase_family(k: int, seed: int = 0) -> EdgeFamily:
 def _random_picks(graph: BipartiteGraph, members: int, rng: SplitMix64,
                   permille: int) -> list[list[bool]]:
     """members edge subsets as keep flags over the graph's sorted edges
-    (_edge_table order): each edge is kept with probability permille/1000,
-    drawn in that order, and a subset left empty gets one uniformly drawn
-    edge instead.  The search sums the flags into edge masks."""
+    (_edge_table order): each edge is kept when below(1000) < permille,
+    drawn in that order, and a subset left empty gets the one edge at
+    below(width) instead.  The search sums the flags into edge masks."""
     width = len(_edge_table(graph)[0])
     if not width:
         raise ValueError("the graph has no edges to draw from")
-    below = rng.below  # chance(permille, 1000) is below(1000) < permille
+    below = rng.below
     picks = []
     for _ in range(members):
         keep = [below(1000) < permille for _ in range(width)]

@@ -22,8 +22,8 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .core import (Edge, BipartiteGraph, EdgeFamily, RainbowMatching,
-                   _as_edge, _require_ints, is_valid_rainbow)
+from .core import (Edge, EdgeFamily, RainbowMatching, _as_edge,
+                   _require_ints, is_valid_rainbow)
 
 SOURCE = "s"
 TARGET = "t"
@@ -32,10 +32,6 @@ TARGET = "t"
 # or plain string labels for standalone networks.
 Vertex = str | Edge
 Arc = tuple[Vertex, Vertex]
-
-
-class BoundExceeded(RuntimeError):
-    """Exhaustive search refused: the instance is above the size bound."""
 
 
 class RepresentationClash(ValueError):
@@ -247,7 +243,9 @@ class NetworkFamily:
     built on first use for families not given as sets.  origin maps member
     positions (1-based) to edge-family indices for families from
     build_network, which also keep their member edges for _least_witness;
-    it is None for families built from arc sets or masks.
+    it is None for families built from arc sets or masks.  Every public
+    function taking a network with a family refuses (ValueError) a network
+    that is neither the family's nor equal to it.
     """
 
     network: Network
@@ -302,6 +300,14 @@ class NetworkFamily:
         return len(self.masks)
 
 
+def _network_of(net: Network, nf: NetworkFamily) -> Network:
+    """nf's own network, when net is it or equal to it; any other network
+    raises ValueError, because nf's masks are bits of its own network."""
+    if net is not nf.network and net != nf.network:
+        raise ValueError("the network is not the family's network")
+    return nf.network
+
+
 def _least_witness(nf: NetworkFamily, pos: int, arc) -> Edge | None:
     """The least graph edge of member position pos that maps onto arc, or
     None when there is none (always for families built from arc sets)."""
@@ -334,7 +340,7 @@ def has_st_path(arcs: Iterable, source=SOURCE, target=TARGET) -> bool:
     return False
 
 
-def build_network(g: BipartiteGraph, fam: EdgeFamily,
+def build_network(fam: EdgeFamily,
                   rm: RainbowMatching) -> tuple[Network, NetworkFamily]:
     """Build the network over rm's matching for the unrepresented members.
 
@@ -345,16 +351,14 @@ def build_network(g: BipartiteGraph, fam: EdgeFamily,
     addable edge.  _least_witness reads a (member, arc) pair's graph edge
     from the member on lookup.
     """
-    if g != fam.graph:
-        raise ValueError("graph does not match the family's ambient graph")
     if not is_valid_rainbow(fam, rm):
         raise ValueError("not a valid rainbow matching of the family")
     inner = tuple(sorted(rm.matching().edges))
     size = len(inner) + 2
     # edge (a, b) becomes bit a_row[a] + b_rank[b]: unmatched A-vertices
     # sit at the source's row, unmatched B-vertices at the target's column
-    a_row = [0] * (g.left_size + 1)
-    b_rank = [size - 1] * (g.right_size + 1)
+    a_row = [0] * (fam.graph.left_size + 1)
+    b_rank = [size - 1] * (fam.graph.right_size + 1)
     for rank, (a, b) in enumerate(inner, start=1):
         a_row[a] = rank * size
         b_rank[b] = rank

@@ -14,7 +14,7 @@ from operator import or_
 from typing import Mapping
 
 from .core import _kuhn, _require_ints
-from .network import (BoundExceeded, Network, NetworkFamily, StPath,
+from .network import (Network, NetworkFamily, StPath, _network_of,
                       _path_ranks, _rank_paths)
 
 
@@ -93,6 +93,7 @@ def greedy_rainbow_tree(net: Network, nf: NetworkFamily) -> RainbowStPath | Gree
     joins the tree, returning the source-target path inside the tree with
     its representation, or reports the stuck tree.
     """
+    net = _network_of(net, nf)
     size = net._size
     target = size - 1
     row, column = _tree_masks(size)
@@ -126,17 +127,14 @@ def greedy_rainbow_tree(net: Network, nf: NetworkFamily) -> RainbowStPath | Gree
                                     dict(enumerate(reversed(reps_reversed))))
 
 
-def exhaustive_rainbow_path(net: Network, nf: NetworkFamily,
-                            bound: int = 8) -> RainbowStPath | None:
+def exhaustive_rainbow_path(net: Network, nf: NetworkFamily) -> RainbowStPath | None:
     """Complete search; None means no rainbow source-target path exists.
 
     Deterministic: the least path by vertex ranks that admits any
     representation wins, carrying its lexicographically least
     representation (by member position, arc by arc).
     """
-    if len(net.inner) > bound:
-        raise BoundExceeded(
-            f"{len(net.inner)} inner vertices exceed the bound {bound}")
+    net = _network_of(net, nf)
     size = net._size
     masks = nf.masks
     owners: dict[int, int] = {}   # arc bit -> mask of owning member positions

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .core import _require_ints
 from .network import (SOURCE, TARGET, Network, NetworkFamily, StPath,
-                      _mask_has_path, _path_ranks, _rank_paths)
+                      _mask_has_path, _network_of, _path_ranks, _rank_paths)
 from .paths import exhaustive_rainbow_path
 
 
@@ -54,11 +54,12 @@ def _backward_masks(net: Network, paths) -> tuple[int, ...]:
     return tuple(net._mask_over(backward_arcs(net, q)) for q in paths)
 
 
-def _least_backward_arc(net, nf, reg, positions) -> tuple | None:
+def _least_backward_arc(nf, reg, positions) -> tuple | None:
     """(position, path index, head spot, tail spot) of the least backward
     arc of the first member among positions that holds one, or None: bits
     ascend in arc_key order, and no arc enters s or leaves t, so a backward
     arc lies inside exactly one of reg's paths."""
+    net = nf.network
     backs = _backward_masks(net, reg.paths)
     every = reduce(or_, backs, 0)
     pos = next((p for p in sorted(positions) if nf.masks[p - 1] & every), None)
@@ -99,6 +100,7 @@ def verify_regimentation(net: Network, nf: NetworkFamily,
     every assigned path inside a member anyway, and a bare source-target
     path carrying no members is legitimate cover.
     """
+    net = _network_of(net, nf)
     for q in r.paths:
         if _path_ranks(net, q) is None:
             return "paths"
@@ -137,6 +139,7 @@ def find_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None:
     rainbow path exists the result may be None even if some other
     certificate verifies.
     """
+    net = _network_of(net, nf)
     if not net.inner:
         # the bare source-target path covers everything and carries no members
         return Regimentation((StPath((SOURCE, TARGET)),), {})
@@ -189,10 +192,14 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily,
       source-target path.
 
     The no-rainbow-path hypothesis is established by exhaustive search,
-    never assumed.
+    never assumed; networks here come from files, so more than 8 inner
+    vertices raise ValueError.
     """
+    net = _network_of(net, nf)
     if verify_regimentation(net, nf, r) is not None:
         raise ValueError("certificate does not verify")
+    if len(net.inner) > 8:
+        raise ValueError(f"{len(net.inner)} inner vertices exceed the search bound 8")
     if exhaustive_rainbow_path(net, nf) is not None:
         return StructureLemmaReport(hypothesis_met=False)
     essential = set(r.assignment)

@@ -54,14 +54,7 @@ class SplitMix64:
             if r - low <= top:
                 return low
 
-    def chance(self, numerator: int, denominator: int) -> bool:
-        """True with probability numerator/denominator."""
-        return self.below(denominator) < numerator
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, items):
-        return items[self.below(len(items))]

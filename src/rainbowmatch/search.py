@@ -13,11 +13,18 @@ union with its own copy), should admit a full rainbow matching of size
 Both searches either exhaust a small instance space or sample seeded
 random instances up to a budget; any counterexample returned has been
 re-verified.  The instance stream is deterministic per seed.
+
+No search can falsify a settled pair: c4.1 at k <= 2 (k = 2 is the
+theorem at n = k = 2) and c4.3 at k <= 3 (shrink members to k-matchings;
+Drisko's theorem, JCTA 84, 1998, then gives k of them a rainbow
+k-matching in the first copy, and the other k - 1 a rainbow
+(k - 1)-matching in the second).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,7 +129,7 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     if exhaustive:
         subsets = [sum(c) for size in range(1, width + 1)
                    for c in itertools.combinations(powers, size)]
-        space = _multiset_count(len(subsets), members)
+        space = math.comb(len(subsets) + members - 1, members)
         if space > budget:
             raise ValueError(
                 f"exhaustive space has {space} multisets, above the budget {budget}")
@@ -157,9 +164,3 @@ def _verified(target: str, k: int, fam: EdgeFamily, instances: int,
         raise RuntimeError("counterexample failed re-verification")
     return SearchResult(target, fam, instances, passed, exhaustive, oracle_size=size)
 
-
-def _multiset_count(options: int, slots: int) -> int:
-    out = 1
-    for i in range(slots):
-        out = out * (options + i) // (i + 1)
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (BipartiteGraph, Edge, EdgeFamily, RainbowMatching,
+from .core import (Edge, EdgeFamily, RainbowMatching,
                    cooperative_condition, is_valid_rainbow, max_matching,
                    rainbow_matching_max)
 from .network import (RepresentationClash, _exchange, _least_witness, augment,
@@ -55,22 +55,20 @@ def _log(trail: list | None, event: dict) -> None:
         trail.append(event)
 
 
-def solve_main(g: BipartiteGraph, fam: EdgeFamily, k: int, n: int,
-               mode: str = "hybrid", budget: int | None = None,
+def solve_main(fam: EdgeFamily, k: int, n: int, mode: str = "hybrid",
                trail: list | None = None
                ) -> RainbowMatching | HypothesisFailure | ViolationReport:
     """Produce a verified rainbow matching of size n, or report why not.
 
     Parameter errors (sizes, ranges, emptiness bound) raise ValueError;
     a failing k-union is returned as HypothesisFailure.  In constructive
-    mode a stalled loop raises ConstructiveStall; hybrid mode falls back
-    to the oracle instead.  trail, when given, collects an audit log of
-    augmentations, swaps, rectifications, and fallbacks.
+    mode a stalled loop (4 * n * len(fam) steps at most) raises
+    ConstructiveStall; hybrid mode falls back to the oracle instead.
+    trail, when given, collects an audit log of augmentations, swaps,
+    rectifications, and fallbacks.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if g != fam.graph:
-        raise ValueError("graph does not match the family's ambient graph")
     if not 1 < k <= n:
         raise ValueError("parameters must satisfy 1 < k <= n")
     if len(fam) != 2 * n + k - 3:
@@ -83,10 +81,8 @@ def solve_main(g: BipartiteGraph, fam: EdgeFamily, k: int, n: int,
         return HypothesisFailure(failing)
     if mode == "oracle":
         return _oracle_solve(fam, n, trail)
-    if budget is None:
-        budget = 4 * n * len(fam)
     try:
-        rm = _constructive(g, fam, k, n, budget, trail)
+        rm = _constructive(fam, k, n, trail)
     except ConstructiveStall as stall:
         if mode == "constructive":
             raise
@@ -112,27 +108,28 @@ def _oracle_solve(fam: EdgeFamily, n: int,
     return rm
 
 
-def _constructive(g: BipartiteGraph, fam: EdgeFamily, k: int, n: int,
-                  budget: int, trail: list | None) -> RainbowMatching:
+def _constructive(fam: EdgeFamily, k: int, n: int,
+                  trail: list | None) -> RainbowMatching:
+    budget = 4 * n * len(fam)
     rm = RainbowMatching({})
     steps = 0
     while len(rm) < n:
         steps += 1
         if steps > budget:
             raise ConstructiveStall(f"iteration budget {budget} exhausted")
-        net, nf = build_network(g, fam, rm)
-        found = path_or_certificate(net, nf)
+        _, nf = build_network(fam, rm)
+        found = path_or_certificate(nf)
         try:
             if isinstance(found, RainbowStPath):
                 nxt = _augment_via_path(found, nf, rm, trail)
             else:
-                if len(nf) != len(net.inner) + k - 1:
+                if len(nf) != len(nf.network.inner) + k - 1:
                     raise ConstructiveStall(
                         "no rainbow path although the family exceeds the critical size")
                 if isinstance(found, TheoremViolation):
                     raise ConstructiveStall(
                         "neither rainbow path nor regimentation certificate")
-                nxt = _regimented_step(g, fam, n, rm, net, nf, found, trail)
+                nxt = _regimented_step(fam, n, rm, nf, found, trail)
         except ValueError as exc:
             # augment or the exchange refused the step, clash included
             raise ConstructiveStall(f"step refused: {exc}") from exc
@@ -179,8 +176,7 @@ def _certificate_pool(reg, nf, path_index: int) -> list[int]:
                               if reg.assignment[p] == path_index)]
 
 
-def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
-                     rm: RainbowMatching, net, nf, reg,
+def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg,
                      trail: list | None) -> RainbowMatching:
     """One local improvement step under a regimentation certificate."""
     matched = rm.matching().edges
@@ -208,7 +204,7 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
 
     # least inessential arc that runs backward along a certificate path;
     # every inessential arc is backward when no rainbow path exists
-    found = _least_backward_arc(net, nf, reg, ie_positions)
+    found = _least_backward_arc(nf, reg, ie_positions)
     if found is None:
         raise ConstructiveStall("no inessential arc runs backward on a certificate path")
     owner_pos, back_index, lo, hi = found
@@ -220,7 +216,7 @@ def _regimented_step(g: BipartiteGraph, fam: EdgeFamily, n: int,
     sp = represented_by[run[-1]]
 
     union_ids = sorted(set(ie_ids) | {sp})
-    big = max_matching(g, fam.union(union_ids))
+    big = max_matching(fam.graph, fam.union(union_ids))
     if len(big) < n:
         raise ConstructiveStall("cooperative condition broke mid-loop")
     ax = min((e for e in big.edges if e[0] not in matched_a), default=None)

@@ -123,14 +123,14 @@ def naive_rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
 def set_random_family(graph: BipartiteGraph, members: int, rng,
                       permille: int) -> tuple[frozenset, ...]:
     """Reference for random_family's draw, on sets: each edge in sorted
-    order kept when rng.chance(permille, 1000), a member left empty
-    replaced by one rng.choice of the sorted edges."""
+    order kept when rng.below(1000) < permille, a member left empty
+    replaced by the sorted edge at rng.below(len(edges))."""
     edges = sorted(graph.edges)
     sets = []
     for _ in range(members):
-        chosen = {e for e in edges if rng.chance(permille, 1000)}
+        chosen = {e for e in edges if rng.below(1000) < permille}
         if not chosen:
-            chosen = {rng.choice(edges)}
+            chosen = {edges[rng.below(len(edges))]}
         sets.append(frozenset(chosen))
     return tuple(sets)
 
@@ -236,8 +236,7 @@ def naive_least_backward_arc(net: Network, nf: NetworkFamily,
     return found
 
 
-def naive_build_network(g: BipartiteGraph, fam: EdgeFamily,
-                        rm: RainbowMatching) -> tuple:
+def naive_build_network(fam: EdgeFamily, rm: RainbowMatching) -> tuple:
     """(inner, member arc sets, preimages, origin) of the network over rm's
     matching, with every graph-edge witness recorded per (member, arc)."""
     matched = rm.matching().edges

@@ -165,7 +165,7 @@ def test_criterion_2_main_theorem_exhaustive():
         passing += 1
         assert rainbow_matching_max(fam)[0] >= 2, combo
         trail = []
-        out = solve_main(g, fam, 2, 2, mode="hybrid", trail=trail)
+        out = solve_main(fam, 2, 2, mode="hybrid", trail=trail)
         assert not [e for e in trail if e["op"] == "fallback"], combo
         assert isinstance(out, RainbowMatching), combo
         assert is_valid_rainbow(fam, out, size=2), combo
@@ -190,7 +190,7 @@ def test_criterion_3_main_theorem_randomized():
                     continue
                 collected += 1
                 trail = []
-                out = solve_main(g, fam, k, n, mode="hybrid", trail=trail)
+                out = solve_main(fam, k, n, mode="hybrid", trail=trail)
                 assert not [e for e in trail if e["op"] == "fallback"], \
                     (n, k, seed)
                 assert isinstance(out, RainbowMatching), (n, k, seed)

@@ -116,7 +116,7 @@ def test_build_network_four_cases():
     # one matched edge; the other member's edges hit all remaining cases
     fam = family_on(K22, {(1, 1)}, {(1, 2), (2, 1), (2, 2)})
     rm = RainbowMatching({1: (1, 1)})
-    net, nf = build_network(K22, fam, rm)
+    net, nf = build_network(fam, rm)
     assert net.inner == ((1, 1),)
     assert net.arcs == {((1, 1), "t"), ("s", (1, 1)), ("s", "t")}
     assert nf.origin == (2,)
@@ -128,32 +128,32 @@ def test_build_network_four_cases():
 def test_build_network_matched_to_matched():
     fam = family_on(K33, {(1, 1)}, {(2, 2)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
-    _, nf = build_network(K33, fam, rm)
+    _, nf = build_network(fam, rm)
     assert nf.sets[0] == {((1, 1), (2, 2))}
 
 
 def test_build_network_trivial_cases():
     fam = family_on(K22, {(1, 1)})
-    net, nf = build_network(K22, fam, RainbowMatching({}))
+    net, nf = build_network(fam, RainbowMatching({}))
     assert net.inner == ()
     assert nf.sets[0] == {("s", "t")}
 
     # member holding only matching edges maps to the empty arc set
     fam = family_on(K22, {(1, 1)}, {(1, 1)})
-    _, nf = build_network(K22, fam, RainbowMatching({1: (1, 1)}))
+    _, nf = build_network(fam, RainbowMatching({1: (1, 1)}))
     assert nf.sets[0] == frozenset()
 
 
 def test_build_network_rejects_foreign_matching():
     fam = family_on(K22, {(1, 1)})
     with pytest.raises(ValueError):
-        build_network(K22, fam, RainbowMatching({1: (2, 2)}))
+        build_network(fam, RainbowMatching({1: (2, 2)}))
 
 
 def _translated(fam, graph, rm, path, rep):
     """The step _augment_via_path takes: the least witness of each arc and
     the result of augmenting along them."""
-    _, nf = build_network(graph, fam, rm)
+    _, nf = build_network(fam, rm)
     p = StPath(path)
     edges = [_witness(nf, rep[j], arc) for j, arc in enumerate(p.arcs)]
     trail = []
@@ -201,7 +201,7 @@ def test_path_to_alternating_least_preimage():
 def test_path_to_alternating_rejects_bad_rep():
     fam = family_on(K22, {(1, 1)}, {(2, 1)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1)})
-    _, nf = build_network(K22, fam, rm)
+    _, nf = build_network(fam, rm)
     with pytest.raises(RepresentationClash):
         augment(rm, [(2, 1), (1, 2)], [2, 2])  # member reused
     with pytest.raises(ConstructiveStall):
@@ -285,7 +285,7 @@ def test_round_trip_path_existence():
             member = frozenset(e for e in edges if rng.random() < 0.4)
             sets = tuple(frozenset({e}) for e in sorted(matched)) + (member,)
             fam = family_on(K33, *sets)
-            net, nf = build_network(K33, fam, rm)
+            net, nf = build_network(fam, rm)
             pos = len(nf)  # the free member is always last
             network_side = has_st_path(nf.sets[pos - 1], SOURCE, TARGET)
             graph_side = has_augmenting_path(member, matched)
@@ -332,8 +332,8 @@ def test_build_network_matches_naive_reference():
         if fam is None:
             continue
         rm = _random_rainbow_matching(fam, rng)
-        net, nf = build_network(g, fam, rm)
-        inner, sets, preimages, origin = naive_build_network(g, fam, rm)
+        net, nf = build_network(fam, rm)
+        inner, sets, preimages, origin = naive_build_network(fam, rm)
         assert net.inner == inner
         assert nf.sets == sets
         assert nf.origin == origin

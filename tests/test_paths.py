@@ -4,12 +4,14 @@ import sys
 
 import pytest
 
-from rainbowmatch import (BipartiteGraph, BoundExceeded, GreedyStuck,
-                          Matching, RainbowMatching, RainbowStPath,
+from rainbowmatch import (BipartiteGraph, GreedyStuck, Matching, Network,
+                          NetworkFamily, RainbowMatching, RainbowStPath,
                           Regimentation, SplitMix64, StPath, augment,
-                          TheoremViolation, UnionPathError, dichotomy,
-                          exhaustive_rainbow_path, greedy_rainbow_tree,
-                          has_st_path, verify_rainbow_path)
+                          TheoremViolation, UnionPathError,
+                          check_structure_lemmas, dichotomy,
+                          exhaustive_rainbow_path, find_regimentation,
+                          greedy_rainbow_tree, has_st_path,
+                          verify_rainbow_path, verify_regimentation)
 
 from .helpers import (abstract_family, all_arcs_over, arc_union,
                       naive_exhaustive_rainbow_path, naive_greedy_rainbow_tree)
@@ -138,14 +140,6 @@ def test_exhaustive_examples():
     assert exhaustive_rainbow_path(regimented.network, regimented) is None
 
 
-def test_exhaustive_bound():
-    inner = tuple(f"v{i}" for i in range(9))
-    nf = abstract_family(inner, [set()])
-    with pytest.raises(BoundExceeded):
-        exhaustive_rainbow_path(nf.network, nf)
-    assert exhaustive_rainbow_path(nf.network, nf, bound=9) is None
-
-
 def test_exhaustive_agrees_with_greedy_success():
     rng = random.Random(5)
     for _ in range(200):
@@ -214,6 +208,47 @@ def test_dichotomy_past_eight_inner_vertices():
     assert isinstance(out, Regimentation)
     assert out.paths == (spine,)
     assert sorted(out.assignment) == list(range(1, 10))
+
+
+_ONE = Network(inner=("u",), arcs={("s", "u"), ("u", "t")})
+# a rainbow path s-u-t, and one member holding it alone (regimented)
+_SPLIT = NetworkFamily(_ONE, [{("s", "u")}, {("u", "t")}])
+_SOLO = NetworkFamily(_ONE, [{("s", "u"), ("u", "t")}])
+_SOLO_CERT = Regimentation((StPath(("s", "u", "t")),), {1: 0})
+_TAKE_NETWORK = {
+    "greedy_rainbow_tree": lambda net: greedy_rainbow_tree(net, _SPLIT),
+    "exhaustive_rainbow_path": lambda net: exhaustive_rainbow_path(net, _SPLIT),
+    "dichotomy": lambda net: dichotomy(net, _SPLIT, 2),
+    "find_regimentation": lambda net: find_regimentation(net, _SOLO),
+    "verify_regimentation":
+        lambda net: verify_regimentation(net, _SOLO, _SOLO_CERT),
+    "check_structure_lemmas":
+        lambda net: check_structure_lemmas(net, _SOLO, _SOLO_CERT),
+}
+_OTHER_NETWORKS = {
+    "renamed": Network(inner=("x",), arcs={("s", "x"), ("x", "t")}),
+    "two-inner": Network(inner=("u", "v"),
+                         arcs={("s", "u"), ("u", "t"), ("s", "v"), ("v", "t")}),
+    "extra-arc": Network(inner=("u",), arcs={("s", "u"), ("u", "t"), ("s", "t")}),
+}
+
+
+@pytest.mark.parametrize("other", sorted(_OTHER_NETWORKS))
+@pytest.mark.parametrize("name", sorted(_TAKE_NETWORK))
+def test_network_arguments_must_be_the_familys(name, other):
+    # the family's masks are bits of its own network, so read over another
+    # one they name other arcs: greedy would return s-x-t, and over two
+    # inner vertices both engines would miss the path s-u-t
+    with pytest.raises(ValueError, match="not the family's network"):
+        _TAKE_NETWORK[name](_OTHER_NETWORKS[other])
+
+
+@pytest.mark.parametrize("name", sorted(_TAKE_NETWORK))
+def test_an_equal_network_is_the_familys(name):
+    copy = Network(inner=["u"], arcs=[("u", "t"), ("s", "u")])
+    assert copy is not _ONE and copy == _ONE
+    call = _TAKE_NETWORK[name]
+    assert call(copy) == call(_ONE)
 
 
 def _family_space(inner, member_count, rng, trials, density=0.45):

@@ -63,7 +63,7 @@ def test_least_backward_arc_matches_naive_reference():
         nf, reg = _random_certified_family(rng)
         ie_positions = [p for p in range(1, len(nf) + 1)
                         if p not in reg.assignment]
-        found = _least_backward_arc(nf.network, nf, reg, ie_positions)
+        found = _least_backward_arc(nf, reg, ie_positions)
         assert found == naive_least_backward_arc(nf.network, nf, reg,
                                                  ie_positions), (nf.sets, reg)
         hits += found is not None
@@ -264,6 +264,20 @@ def test_structure_lemmas_require_verified_certificate():
     broken = Regimentation((StPath(("s", "v", "t")),), {})
     with pytest.raises(ValueError):
         check_structure_lemmas(nf.network, nf, broken)
+
+
+def test_structure_lemmas_refuse_above_the_search_cap():
+    # nine one-path members certify themselves, but the lemmas' exhaustive
+    # search refuses more than eight inner vertices; the path search itself
+    # takes a network of any size
+    inner = tuple(f"v{i}" for i in range(9))
+    nf = abstract_family(inner, [{("s", v), (v, "t")} for v in inner])
+    cert = Regimentation(tuple(StPath(("s", v, "t")) for v in inner),
+                         {i: i - 1 for i in range(1, 10)})
+    assert verify_regimentation(nf.network, nf, cert) is None
+    with pytest.raises(ValueError, match="9 inner vertices exceed"):
+        check_structure_lemmas(nf.network, nf, cert)
+    assert exhaustive_rainbow_path(nf.network, nf) is None
 
 
 def check_exchange_lemma(nf_g: NetworkFamily, nf_h: NetworkFamily,

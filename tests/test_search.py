@@ -192,6 +192,15 @@ def test_search_validates_arguments():
                           budget=10_000, exhaustive=True)
 
 
+def test_exhaustive_budget_boundary_is_the_multiset_count():
+    # K22 has 15 nonempty edge subsets, so 3 members make C(17, 3) = 680
+    # multisets: one short of that refuses, and exactly that runs them all
+    with pytest.raises(ValueError, match="680 multisets"):
+        conjecture_search("c4.1", k=2, graph=K22, budget=679, exhaustive=True)
+    result = conjecture_search("c4.1", k=2, graph=K22, budget=680, exhaustive=True)
+    assert (result.instances, result.hypothesis_passed) == (680, 428)
+
+
 @pytest.mark.parametrize("exhaustive", [False, True])
 def test_search_refuses_negative_budget(exhaustive):
     # a sampled search used to report "no counterexample" on 0 instances

@@ -19,44 +19,47 @@ K33 = BipartiteGraph.complete(3)
 def test_solve_main_examples():
     fam = family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
     for mode in ("constructive", "oracle", "hybrid"):
-        out = solve_main(K22, fam, 2, 2, mode=mode)
+        out = solve_main(fam, 2, 2, mode=mode)
         assert isinstance(out, RainbowMatching)
         assert is_valid_rainbow(fam, out, size=2)
 
     bad = family_on(K22, {(1, 1)}, {(1, 1)}, {(1, 1)})
-    out = solve_main(K22, bad, 2, 2)
+    out = solve_main(bad, 2, 2)
     assert out == HypothesisFailure((1, 2))
 
     pm = frozenset({(1, 1), (2, 2), (3, 3)})
     six = EdgeFamily(K33, (pm,) * 6)
-    out = solve_main(K33, six, 3, 3, mode="constructive")
+    out = solve_main(six, 3, 3, mode="constructive")
     assert is_valid_rainbow(six, out, size=3)
 
 
 def test_solve_main_parameter_errors():
     fam = family_on(K22, {(1, 1)}, {(1, 2)}, {(2, 1)})
     with pytest.raises(ValueError):
-        solve_main(K22, fam, 1, 2)  # k must exceed 1
+        solve_main(fam, 1, 2)  # k must exceed 1
     with pytest.raises(ValueError):
-        solve_main(K22, fam, 3, 2)  # k must stay at most n
+        solve_main(fam, 3, 2)  # k must stay at most n
     with pytest.raises(ValueError):
-        solve_main(K22, fam, 2, 3)  # wrong family size for (n, k)
+        solve_main(fam, 2, 3)  # wrong family size for (n, k)
     with pytest.raises(ValueError):
-        solve_main(K22, family_on(K22, {(1, 1)}, set(), {(2, 1)}), 2, 2)
+        solve_main(family_on(K22, {(1, 1)}, set(), {(2, 1)}), 2, 2)
     with pytest.raises(ValueError):
-        solve_main(K33, fam, 2, 2)  # foreign graph
-    with pytest.raises(ValueError):
-        solve_main(K22, fam, 2, 2, mode="psychic")
+        solve_main(fam, 2, 2, mode="psychic")
 
 
-def test_solve_main_trail_and_budget():
+def test_solve_main_stalls_past_its_iteration_budget(monkeypatch):
+    # a path step that never grows the matching runs the loop into its
+    # budget of 4 * n * len(fam) = 24 steps
+    monkeypatch.setattr(solver, "_augment_via_path",
+                        lambda found, nf, rm, trail: rm)
     fam = family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
     trail = []
-    out = solve_main(K22, fam, 2, 2, mode="hybrid", budget=0, trail=trail)
+    out = solve_main(fam, 2, 2, mode="hybrid", trail=trail)
     assert is_valid_rainbow(fam, out, size=2)
     assert [e["op"] for e in trail] == ["fallback", "oracle"]
-    with pytest.raises(ConstructiveStall):
-        solve_main(K22, fam, 2, 2, mode="constructive", budget=0)
+    assert trail[0]["reason"] == "iteration budget 24 exhausted"
+    with pytest.raises(ConstructiveStall, match="iteration budget 24 exhausted"):
+        solve_main(fam, 2, 2, mode="constructive")
 
 
 def _swap_owners(monkeypatch):
@@ -64,8 +67,8 @@ def _swap_owners(monkeypatch):
     # own it: the step finds no edge to realize the arc
     real = solver.path_or_certificate
 
-    def swapped(net, nf):
-        found = real(net, nf)
+    def swapped(nf):
+        found = real(nf)
         if len(found.path.arcs) != 2:
             return found
         rep = found.representation
@@ -86,18 +89,18 @@ def test_failing_step_falls_back_to_the_oracle(monkeypatch, fault):
     fam = family_on(K22, {(1, 1), (2, 2)}, {(2, 1)}, {(1, 2)})
     fault(monkeypatch)
     trail = []
-    out = solve_main(K22, fam, 2, 2, mode="hybrid", trail=trail)
+    out = solve_main(fam, 2, 2, mode="hybrid", trail=trail)
     assert [e["op"] for e in trail] == ["augment", "fallback", "oracle"]
     assert is_valid_rainbow(fam, out, size=2)
     with pytest.raises(ConstructiveStall):
-        solve_main(K22, fam, 2, 2, mode="constructive")
+        solve_main(fam, 2, 2, mode="constructive")
 
 
 def test_constructive_swap_step():
     # reaching size 2 here requires trading the representation of (1,1)
     fam = family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
     trail = []
-    out = solve_main(K22, fam, 2, 2, mode="constructive", trail=trail)
+    out = solve_main(fam, 2, 2, mode="constructive", trail=trail)
     assert is_valid_rainbow(fam, out, size=2)
     ops = [e["op"] for e in trail]
     assert "swap" in ops
@@ -118,7 +121,7 @@ def test_extremal_critical_round_at_scale():
                                      key=lambda s: rank.get(s, 2))))
     assert fam.sets[:n] == (shifted,) * (n - 1) + (frozenset({(1, 2)}),)
     trail = []
-    out = solve_main(g, fam, 2, n, mode="constructive", trail=trail)
+    out = solve_main(fam, 2, n, mode="constructive", trail=trail)
     assert is_valid_rainbow(fam, out, size=n)
     assert [e["op"] for e in trail] == ["augment"] * 9 + ["swap", "augment"]
 
@@ -132,8 +135,8 @@ def test_modes_agree_on_random_instances():
             if fam is None:
                 continue
             checked += 1
-            a = solve_main(g, fam, k, n, mode="constructive")
-            b = solve_main(g, fam, k, n, mode="oracle")
+            a = solve_main(fam, k, n, mode="constructive")
+            b = solve_main(fam, k, n, mode="oracle")
             assert isinstance(a, RainbowMatching) and isinstance(b, RainbowMatching)
             assert is_valid_rainbow(fam, a, size=n)
             assert is_valid_rainbow(fam, b, size=n)
@@ -143,7 +146,7 @@ def test_modes_agree_on_random_instances():
 def _state(graph, sets, assignment, n):
     fam = EdgeFamily(graph, tuple(frozenset(s) for s in sets))
     rm = RainbowMatching(assignment)
-    net, nf = build_network(graph, fam, rm)
+    net, nf = build_network(fam, rm)
     assert exhaustive_rainbow_path(net, nf) is None
     reg = find_regimentation(net, nf)
     assert reg is not None
@@ -162,7 +165,7 @@ def test_regimented_step_exchange_branch():
          {(2, 1)}],
         {1: (1, 1), 2: (2, 2)}, 3)
     trail = []
-    out = _regimented_step(K33, fam, 3, rm, net, nf, reg, trail)
+    out = _regimented_step(fam, 3, rm, nf, reg, trail)
     assert trail[-1]["op"] == "augment-exchange"
     assert out.assignment == {2: (3, 3), 3: (1, 2), 5: (2, 1)}
     assert is_valid_rainbow(fam, out, size=3)
@@ -180,7 +183,7 @@ def test_regimented_step_walk_without_clash():
          {(2, 1)}],
         {1: (1, 1), 2: (2, 2)}, 3)
     trail = []
-    out = _regimented_step(K33, fam, 3, rm, net, nf, reg, trail)
+    out = _regimented_step(fam, 3, rm, nf, reg, trail)
     assert trail[-1]["op"] == "augment"
     assert out.assignment == {2: (3, 1), 3: (1, 2), 4: (2, 3)}
     assert is_valid_rainbow(fam, out, size=3)
@@ -202,7 +205,7 @@ def test_regimented_step_rectify_branch():
          {(2, 1)}],
         {1: (1, 1), 2: (2, 2), 3: (3, 3)}, 4)
     trail = []
-    out = _regimented_step(g4, fam, 4, rm, net, nf, reg, trail)
+    out = _regimented_step(fam, 4, rm, nf, reg, trail)
     assert trail[-1]["op"] == "rectify"
     assert out.assignment == {2: (4, 3), 4: (1, 2), 6: (3, 4), 7: (2, 1)}
     assert is_valid_rainbow(fam, out, size=4)
@@ -218,11 +221,11 @@ def test_regimented_step_direct_branch():
         {(3, 1), (1, 2), (2, 3)},
         {(2, 1), (3, 3)}])))
     rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
-    net, nf = build_network(K33, fam, rm)
+    net, nf = build_network(fam, rm)
     reg = brute_regimentation(net, nf)
     assert reg is not None
     trail = []
-    out = _regimented_step(K33, fam, 3, rm, net, nf, reg, trail)
+    out = _regimented_step(fam, 3, rm, nf, reg, trail)
     assert trail[-1]["op"] == "augment-direct"
     assert out.assignment == {1: (1, 1), 2: (2, 2), 5: (3, 3)}
     assert is_valid_rainbow(fam, out, size=3)
@@ -262,5 +265,5 @@ def test_oracle_mode_trims_to_requested_size():
     fam = family_on(K22, {(1, 1)}, {(2, 2)}, {(1, 2), (2, 1)})
     size, _ = rainbow_matching_max(fam)
     assert size == 2
-    out = solve_main(K22, fam, 2, 2, mode="oracle")
+    out = solve_main(fam, 2, 2, mode="oracle")
     assert len(out) == 2
