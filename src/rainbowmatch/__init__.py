@@ -10,17 +10,16 @@ counterexample-search harness.
 from .core import (BipartiteGraph, Edge, EdgeFamily, Matching,
                    RainbowMatching, cooperative_condition, is_valid_rainbow,
                    matching_number, max_matching, rainbow_matching_max)
-from .network import (SOURCE, TARGET, Network, NetworkFamily,
-                      RepresentationClash, StPath, augment, build_network,
-                      has_st_path)
+from .network import (SOURCE, TARGET, Network, NetworkFamily, StPath,
+                      build_network, has_st_path)
 from .paths import (GreedyStuck, RainbowStPath, exhaustive_rainbow_path,
                     greedy_rainbow_tree, verify_rainbow_path)
-from .regiment import (Regimentation, StructureLemmaReport, backward_arcs,
+from .regiment import (Regimentation, StructureLemmaReport,
                        check_structure_lemmas, find_regimentation,
-                       useless_arcs, verify_regimentation)
+                       verify_regimentation)
 from .dichotomy import TheoremViolation, UnionPathError, dichotomy
-from .solver import (ArrowCheck, ConstructiveStall, HypothesisFailure,
-                     ViolationReport, solve_main, verify_arrow_statement)
+from .solver import (ArrowCheck, HypothesisFailure, ViolationReport,
+                     solve_main, verify_arrow_statement)
 from .generators import (drisko_family, random_cooperative_family,
                          sharpness_family, staircase_family)
 from .search import (SearchResult, conjecture_search, doubled_family,
@@ -33,17 +32,15 @@ __all__ = [
     "BipartiteGraph", "Edge", "EdgeFamily", "Matching", "RainbowMatching",
     "cooperative_condition", "is_valid_rainbow", "matching_number",
     "max_matching", "rainbow_matching_max",
-    "SOURCE", "TARGET", "Network", "NetworkFamily",
-    "RepresentationClash", "StPath", "augment", "build_network",
-    "has_st_path",
+    "SOURCE", "TARGET", "Network", "NetworkFamily", "StPath",
+    "build_network", "has_st_path",
     "GreedyStuck", "RainbowStPath", "exhaustive_rainbow_path",
     "greedy_rainbow_tree", "verify_rainbow_path",
-    "Regimentation", "StructureLemmaReport", "backward_arcs",
-    "check_structure_lemmas", "find_regimentation",
-    "useless_arcs", "verify_regimentation",
+    "Regimentation", "StructureLemmaReport", "check_structure_lemmas",
+    "find_regimentation", "verify_regimentation",
     "TheoremViolation", "UnionPathError", "dichotomy",
-    "ArrowCheck", "ConstructiveStall", "HypothesisFailure",
-    "ViolationReport", "solve_main", "verify_arrow_statement",
+    "ArrowCheck", "HypothesisFailure", "ViolationReport", "solve_main",
+    "verify_arrow_statement",
     "drisko_family", "random_cooperative_family", "sharpness_family",
     "staircase_family",
     "SearchResult", "conjecture_search", "doubled_family",

@@ -5,7 +5,8 @@ Commands: solve, check, gen, certify, search, export-dot.  Exit codes:
     0   success (certificate or report on stdout)
     1   a supplied certificate failed verification
     2   hypothesis failure (a k-union is too small)
-    3   violation report (falsification channel; never expected)
+    3   violation report (falsification channel; never expected): the
+        hypothesis holds, yet the construction stalled
     64  unreadable or unparseable input (including non-UTF-8 files), or
         bad command usage
     65  parameter mismatch (sizes, ranges, emptiness and search-size bounds)
@@ -32,7 +33,7 @@ from .serialize import (CertificateError, ParseError, dumps_canonical,
                         family_dumps, family_to_json, load_instance,
                         matching_certificate, matching_from_certificate,
                         network_dot, regimentation_from_certificate)
-from .solver import (MODES, HypothesisFailure, ViolationReport, solve_main,
+from .solver import (HypothesisFailure, ViolationReport, solve_main,
                      verify_arrow_statement)
 
 EXIT_OK = 0
@@ -101,7 +102,7 @@ def _seed(args) -> int:
 def _cmd_solve(args) -> int:
     fam = _load_family(args.input)
     trail: list = []
-    outcome = solve_main(fam, args.k, args.n, mode=args.mode, trail=trail)
+    outcome = solve_main(fam, args.k, args.n, trail=trail)
     if isinstance(outcome, HypothesisFailure):
         print(dumps_canonical({"schema": "rainbow/1",
                                "hypothesis_failure": list(outcome.indices)}),
@@ -212,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--k", type=_integer, required=True)
-    p.add_argument("--mode", choices=MODES, default="hybrid")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="evaluate an arrow statement on an instance")

@@ -147,9 +147,6 @@ class RainbowMatching:
     def matching(self) -> Matching:
         return Matching(frozenset(self.assignment.values()))
 
-    def members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.assignment))
-
 
 def is_valid_rainbow(fam: EdgeFamily, rm: RainbowMatching,
                      size: int | None = None) -> bool:

@@ -6,7 +6,8 @@ arc, and source-target paths correspond to augmenting alternating paths.
 The source and target are always SOURCE ("s") and TARGET ("t").  The
 module also holds the exchange every constructive step makes: drop
 matched edges, add (member, edge) pairs, refuse a doubly represented
-member; augment is that exchange along an augmenting path.
+member.  Augmenting along a source-target path is that exchange with the
+path's interior dropped.
 
 Inside, vertices are their ranks (source 0, inner vertices 1..r, target
 r + 1) and arc (u, v) is bit rank(u) * |V| + rank(v) of an integer mask,
@@ -22,8 +23,8 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .core import (Edge, EdgeFamily, RainbowMatching, _as_edge,
-                   _require_ints, is_valid_rainbow)
+from .core import (Edge, EdgeFamily, RainbowMatching, _require_ints,
+                   is_valid_rainbow)
 
 SOURCE = "s"
 TARGET = "t"
@@ -398,35 +399,3 @@ def _exchange(pairs: Iterable[tuple[int, Edge]], drop: Iterable[Edge],
         raise RepresentationClash(doubled[0], out)
     return RainbowMatching(dict(out))
 
-
-def augment(rm: RainbowMatching, edges: Sequence[Edge],
-            members: Sequence[int]) -> RainbowMatching:
-    """Toggle the augmenting path whose non-matching edges are edges, in
-    path order, consecutive ones joined through rm's matching edges.
-
-    members[j] represents edges[j]; a member whose matching edge the path
-    drops loses its representation.  The path must run from an unmatched
-    A-vertex to an unmatched B-vertex and the result is one edge larger.
-    A member represented twice raises RepresentationClash.
-    """
-    edges = [_as_edge(e) for e in edges]
-    if not edges:
-        raise ValueError("need at least one edge")
-    if len(members) != len(edges):
-        raise ValueError("need exactly one member per new edge")
-    matched = rm.matching().edges
-    b_owner = {e[1]: e for e in matched}
-    if edges[0][0] in {e[0] for e in matched} or edges[-1][1] in b_owner:
-        raise ValueError("path endpoints must be unmatched")
-    links = []
-    for prev, nxt in zip(edges, edges[1:]):
-        link = b_owner.get(prev[1])
-        if link is None or link[0] != nxt[0]:
-            raise ValueError("consecutive edges are not joined by a matching edge")
-        links.append(link)
-    if set(edges) & matched:
-        raise ValueError("new edges must avoid the matching")
-    result = _exchange(rm.assignment.items(), links, zip(members, edges))
-    if len(result) != len(rm) + 1:
-        raise ValueError("augmentation must grow the matching by exactly one")
-    return result

@@ -42,7 +42,7 @@ class Regimentation:
         object.__setattr__(self, "assignment", assignment)
 
 
-def backward_arcs(net: Network, q: StPath) -> frozenset:
+def _backward_arcs(net: Network, q: StPath) -> frozenset:
     """Arcs of the network joining two path vertices against q's direction."""
     pos = {v: i for i, v in enumerate(q.vertices)}
     return frozenset((u, v) for (u, v) in net.arcs
@@ -51,7 +51,7 @@ def backward_arcs(net: Network, q: StPath) -> frozenset:
 
 def _backward_masks(net: Network, paths) -> tuple[int, ...]:
     """One mask per path: the network arcs backward along it."""
-    return tuple(net._mask_over(backward_arcs(net, q)) for q in paths)
+    return tuple(net._mask_over(_backward_arcs(net, q)) for q in paths)
 
 
 def _least_backward_arc(nf, reg, positions) -> tuple | None:
@@ -73,7 +73,7 @@ def _least_backward_arc(nf, reg, positions) -> tuple | None:
     return pos, index, spots.index(head), spots.index(tail)
 
 
-def useless_arcs(net: Network, q: StPath) -> frozenset:
+def _useless_arcs(net: Network, q: StPath) -> frozenset:
     """Arcs from off-path inner vertices into q's second vertex, and from
     q's second-to-last vertex out to off-path inner vertices.
 
@@ -210,7 +210,7 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily,
                           for i, mask in enumerate(masks, start=1)
                           if i not in essential)
     for pos, q in enumerate(r.paths):
-        allowed = net._mask_over({*q.arcs, *useless_arcs(net, q)}) | all_backward
+        allowed = net._mask_over({*q.arcs, *_useless_arcs(net, q)}) | all_backward
         for member, target in r.assignment.items():
             if target == pos and masks[member - 1] & ~allowed:
                 backward_ok = False

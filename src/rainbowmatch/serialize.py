@@ -21,7 +21,7 @@ from typing import Any
 
 from .core import BipartiteGraph, Edge, EdgeFamily, RainbowMatching
 from .network import SOURCE, TARGET, Network, NetworkFamily, StPath
-from .regiment import Regimentation, backward_arcs
+from .regiment import Regimentation, _backward_arcs
 
 SCHEMA = "rainbow/1"
 
@@ -225,11 +225,11 @@ def matching_from_certificate(payload: Any) -> RainbowMatching:
     assignment: dict[int, Edge] = {}
     for entry in payload["assignment"]:
         try:
-            edge = entry["edge"]
+            # unpacking refuses an edge of any other length than two
+            a, b = entry["edge"]
             assignment[_strict_int(entry["set"], "set")] = (
-                _strict_int(edge[0], "edge endpoint"),
-                _strict_int(edge[1], "edge endpoint"))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+                _strict_int(a, "edge endpoint"), _strict_int(b, "edge endpoint"))
+        except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed assignment entry: {entry!r}") from exc
     try:
         return RainbowMatching(assignment)
@@ -266,7 +266,7 @@ def regimentation_from_certificate(payload: Any) -> Regimentation:
         assignment = {_member_key(i): _strict_int(pos, "path index")
                       for i, pos in payload["assignment"].items()}
     except (ParseError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed certificate: {exc}") from exc
+        raise CertificateError(str(exc)) from exc
     return Regimentation(paths, assignment)
 
 
@@ -294,7 +294,7 @@ def network_dot(net: Network, regimentation: Regimentation | None = None) -> str
     backward = set()
     if regimentation is not None:
         for q in regimentation.paths:
-            backward |= backward_arcs(net, q)
+            backward |= _backward_arcs(net, q)
     lines = ["digraph network {", "  rankdir=LR;"]
     lines.append('  s [shape=circle, label="s"];')
     for v in net.inner:

@@ -7,8 +7,9 @@ matching, search for a rainbow source-target path and augment along it;
 when no such path exists the family is regimented and one of the local
 exchange steps applies (representation swap, direct addition, cycle
 exchange, or augment-then-rectify).  Every step is one call to
-network.augment or to the exchange it wraps.  The oracle mode and the
-hybrid fallback go through exhaustive search instead.
+network._exchange.  There is no other route to an answer: a construction
+that stalls is reported as a ViolationReport, with the brute-force
+oracle's size beside the reason.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from dataclasses import dataclass
 from .core import (Edge, EdgeFamily, RainbowMatching,
                    cooperative_condition, is_valid_rainbow, max_matching,
                    rainbow_matching_max)
-from .network import (RepresentationClash, _exchange, _least_witness, augment,
+from .network import (RepresentationClash, _exchange, _least_witness,
                       build_network)
 from .dichotomy import TheoremViolation, path_or_certificate
 from .paths import RainbowStPath
 from .regiment import _least_backward_arc
-
-MODES = ("constructive", "oracle", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,11 @@ class HypothesisFailure:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Hypothesis holds, yet the oracle finds no rainbow matching of size n.
+    """Hypothesis holds, yet the construction found no rainbow matching of
+    size n.
 
     This is the falsification channel; producing one would contradict the
-    arrow statement the solver implements.
+    theorem (oracle_size < n) or a step of its proof (oracle_size >= n).
     """
 
     detail: str
@@ -47,7 +47,8 @@ class ViolationReport:
 
 
 class ConstructiveStall(RuntimeError):
-    """The constructive loop cannot continue (budget or unexpected state)."""
+    """The constructive loop cannot continue (budget or unexpected state);
+    solve_main reports it as a ViolationReport."""
 
 
 def _log(trail: list | None, event: dict) -> None:
@@ -55,20 +56,17 @@ def _log(trail: list | None, event: dict) -> None:
         trail.append(event)
 
 
-def solve_main(fam: EdgeFamily, k: int, n: int, mode: str = "hybrid",
-               trail: list | None = None
+def solve_main(fam: EdgeFamily, k: int, n: int, trail: list | None = None
                ) -> RainbowMatching | HypothesisFailure | ViolationReport:
     """Produce a verified rainbow matching of size n, or report why not.
 
     Parameter errors (sizes, ranges, emptiness bound) raise ValueError;
-    a failing k-union is returned as HypothesisFailure.  In constructive
-    mode a stalled loop (4 * n * len(fam) steps at most) raises
-    ConstructiveStall; hybrid mode falls back to the oracle instead.
-    trail, when given, collects an audit log of augmentations, swaps,
-    rectifications, and fallbacks.
+    a failing k-union is returned as HypothesisFailure.  A stalled
+    construction (4 * n * len(fam) steps at most, or a step that fails its
+    checks) is returned as a ViolationReport naming the stall and the
+    brute-force oracle's size.  trail, when given, collects an audit log of
+    augmentations, swaps and rectifications.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     if not 1 < k <= n:
         raise ValueError("parameters must satisfy 1 < k <= n")
     if len(fam) != 2 * n + k - 3:
@@ -79,33 +77,15 @@ def solve_main(fam: EdgeFamily, k: int, n: int, mode: str = "hybrid",
     failing = cooperative_condition(fam, k, n)
     if failing is not None:
         return HypothesisFailure(failing)
-    if mode == "oracle":
-        return _oracle_solve(fam, n, trail)
     try:
-        rm = _constructive(fam, k, n, trail)
+        return _constructive(fam, k, n, trail)
     except ConstructiveStall as stall:
-        if mode == "constructive":
-            raise
-        _log(trail, {"op": "fallback", "reason": str(stall)})
-        return _oracle_solve(fam, n, trail)
-    if not is_valid_rainbow(fam, rm, size=n):
-        raise ConstructiveStall("constructed matching failed re-verification")
-    return rm
-
-
-def _oracle_solve(fam: EdgeFamily, n: int,
-                  trail: list | None) -> RainbowMatching | ViolationReport:
-    size, witness = rainbow_matching_max(fam)
-    if size < n:
+        size, _ = rainbow_matching_max(fam)
         return ViolationReport(
-            detail="cooperative condition holds but the brute-force oracle "
-                   f"finds only a rainbow matching of size {size} < {n}",
+            detail=f"construction stalled: {stall}; the brute-force oracle "
+                   f"finds a rainbow matching of size {size} "
+                   f"({'>=' if size >= n else '<'} n = {n})",
             oracle_size=size)
-    trimmed = dict(sorted(witness.assignment.items())[:n])
-    rm = RainbowMatching(trimmed)
-    assert is_valid_rainbow(fam, rm, size=n)
-    _log(trail, {"op": "oracle", "size": n})
-    return rm
 
 
 def _constructive(fam: EdgeFamily, k: int, n: int,
@@ -131,13 +111,15 @@ def _constructive(fam: EdgeFamily, k: int, n: int,
                         "neither rainbow path nor regimentation certificate")
                 nxt = _regimented_step(fam, n, rm, nf, found, trail)
         except ValueError as exc:
-            # augment or the exchange refused the step, clash included
+            # the exchange refused the step, clash included
             raise ConstructiveStall(f"step refused: {exc}") from exc
         if len(nxt) not in (len(rm), len(rm) + 1):
             raise ConstructiveStall("a step broke the monotone size invariant")
         if not is_valid_rainbow(fam, nxt):
             raise ConstructiveStall("a step produced an invalid rainbow matching")
         rm = nxt
+    if not is_valid_rainbow(fam, rm, size=n):
+        raise ConstructiveStall("constructed matching failed re-verification")
     return rm
 
 
@@ -149,10 +131,18 @@ def _witness(nf, pos: int, arc) -> Edge:
     return edge
 
 
+def _grown(rm: RainbowMatching, result: RainbowMatching) -> RainbowMatching:
+    """result, checked to be one edge larger than rm, as an augmentation is."""
+    if len(result) != len(rm) + 1:
+        raise ConstructiveStall("an augmentation did not grow the matching by one")
+    return result
+
+
 def _augment_via_path(found, nf, rm: RainbowMatching,
                       trail: list | None) -> RainbowMatching:
     """Augment along a rainbow source-target path, each arc realized by
-    its member's least edge on it.
+    its member's least edge on it and each inner vertex, a matching edge,
+    dropped.
 
     New edges represent previously unrepresented members, so no clash is
     possible on this route.
@@ -162,7 +152,8 @@ def _augment_via_path(found, nf, rm: RainbowMatching,
         pos = found.representation[j]
         edges.append(_witness(nf, pos, arc))
         member_ids.append(nf.origin[pos - 1])
-    result = augment(rm, edges, member_ids)
+    result = _grown(rm, _exchange(rm.assignment.items(), found.path.interior,
+                                  zip(member_ids, edges)))
     _log(trail, {"op": "augment", "path": [list(v) if isinstance(v, tuple) else v
                                            for v in found.path.vertices],
                  "members": member_ids, "size": len(result)})
@@ -262,7 +253,8 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg,
     edges = [ax] + [_witness(nf, nf.origin.index(i) + 1, arc)
                     for arc, i in zip(tail_arcs, walk_ids)]
     try:
-        result = augment(rm, edges, [sp] + walk_ids)
+        result = _grown(rm, _exchange(rm.assignment.items(), tail[:-1],
+                                      zip([sp] + walk_ids, edges)))
         _log(trail, {"op": "augment", "edge": list(ax),
                      "members": [sp] + walk_ids, "size": len(result)})
         return result

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import search
+from rainbowmatch import search, solver
 from rainbowmatch.cli import build_parser, main
 from rainbowmatch.serialize import family_from_json, family_loads
 
@@ -293,11 +293,46 @@ def test_export_dot_marks_backward_arcs(tmp_path, capsys):
     assert "e_2_2 -> e_1_1 [style=dashed" in marked
 
 
+def test_export_dot_refuses_a_matching_edge_of_the_wrong_length(tmp_path,
+                                                                capsys, drisko2):
+    matching = tmp_path / "matching.json"
+    for edge in ([1, 1, 77], [1], []):
+        matching.write_text(json.dumps({
+            "schema": "rainbow/1", "assignment": [{"set": 1, "edge": edge}]}))
+        code, out, err = run_cli(capsys, "export-dot", "--input", str(drisko2),
+                                 "--matching", str(matching))
+        assert (code, out) == (66, ""), edge
+        assert "malformed certificate" in err
+
 def test_identical_runs_are_byte_identical(tmp_path, capsys, drisko2):
     runs = [run_cli(capsys, "solve", "--input", str(drisko2),
                     "--n", "2", "--k", "2") for _ in range(2)]
     assert runs[0] == runs[1]
 
+
+def test_solve_reports_a_stalled_construction_with_exit_3(capsys, monkeypatch,
+                                                          drisko2):
+    # a path step that never grows the matching stalls the construction
+    monkeypatch.setattr(solver, "_augment_via_path",
+                        lambda found, nf, rm, trail: rm)
+    code, out, err = run_cli(capsys, "solve", "--input", str(drisko2),
+                             "--n", "2", "--k", "2")
+    assert code == 3
+    report = json.loads(out)
+    assert set(report) == {"schema", "violation", "oracle_size"}
+    assert report["oracle_size"] == 2
+    assert "iteration budget" in report["violation"]
+    assert err == ""
+
+
+def test_solve_has_no_mode_flag(capsys, drisko2):
+    with pytest.raises(SystemExit) as caught:
+        main(["solve", "--input", str(drisko2), "--n", "2", "--k", "2",
+              "--mode", "hybrid"])
+    assert caught.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --mode hybrid" in captured.err
 
 def test_module_entry_point_smoke():
     proc = subprocess.run(
@@ -421,13 +456,23 @@ def test_unreadable_certificate_exits_66(tmp_path, kind):
     assert "Traceback" not in proc.stderr
 
 
+def test_malformed_regimentation_names_its_fault_once(tmp_path, capsys):
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(_NETWORK))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"paths": [["s"]], "assignment": {}}))
+    code, out, err = run_cli(capsys, "certify", "--input", str(netfile),
+                             "--regimentation", str(cert))
+    assert (code, out) == (66, "")
+    assert err == "malformed certificate: a path needs at least two vertices\n"
+
 def test_parser_is_shared_across_calls(capsys, monkeypatch, drisko2):
     # main() reuses one parser per process; interleaved calls, a usage
     # error among them, must print what a fresh process prints
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("RAINBOW_SEED", raising=False)
     solve = ("solve", "--input", str(drisko2), "--n", "2", "--k", "2")
-    calls = [solve + ("--mode", "oracle"), solve,
+    calls = [solve,
              ("solve", "--input", str(drisko2), "--n", "two", "--k", "2"),
              ("gen", "--family", "staircase", "--k", "3", "--seed", "5"),
              ("search", "--conjecture", "c4.1", "--k", "2", "--exhaustive",
@@ -515,8 +560,7 @@ def _solve_case(draw):
     payload, n, k = draw(_instance())
     text = draw(_file(st.just(payload)))
     n, k = draw(_mostly(st.just((n, k)), st.tuples(_argument, _argument)))
-    mode = draw(st.sampled_from(["constructive", "oracle", "hybrid"]))
-    return ("solve", "--n", str(n), "--k", str(k), "--mode", mode), (text,)
+    return ("solve", "--n", str(n), "--k", str(k)), (text,)
 
 
 _certify_case = st.tuples(st.just(("certify",)),

@@ -50,7 +50,7 @@ def test_rainbow_matching_validation():
     with pytest.raises(ValueError):
         RainbowMatching({1: (1, 1), 2: (1, 2)})  # image not a matching
     rm = RainbowMatching({2: (1, 1), 5: (2, 2)})
-    assert rm.members() == (2, 5)
+    assert sorted(rm.assignment) == [2, 5]
     fam = family_on(K22, {(1, 2)}, {(1, 1)}, {(1, 2)}, {(2, 1)}, {(2, 2)})
     assert is_valid_rainbow(fam, rm)
     assert not is_valid_rainbow(fam, rm, size=3)
@@ -177,9 +177,8 @@ def _seeded_families(count: int, seed: int):
 
 
 def test_rainbow_witness_matches_set_based_reference():
-    # the witness is what solve --mode oracle prints and what the hybrid
-    # fallback continues from, so the exact assignment is pinned, not only
-    # the size
+    # the witness is what check and the conjecture search report, so the
+    # exact assignment is pinned, not only the size
     families = list(_seeded_families(2400, seed=29))
     shapes = {(fam.graph.left_size, fam.graph.right_size) for fam in families}
     assert any(a != b for a, b in shapes)

@@ -4,12 +4,12 @@ import random
 import pytest
 
 import rainbowmatch
-from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, ConstructiveStall,
-                          Network, NetworkFamily, RainbowMatching,
-                          RainbowStPath, RepresentationClash, StPath, augment,
-                          build_network, has_st_path)
-from rainbowmatch.network import _exchange, _least_witness, _rank_paths
-from rainbowmatch.solver import _augment_via_path, _witness
+from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, Network,
+                          NetworkFamily, RainbowMatching, RainbowStPath,
+                          StPath, build_network, has_st_path)
+from rainbowmatch.network import (RepresentationClash, _exchange,
+                                  _least_witness, _rank_paths)
+from rainbowmatch.solver import ConstructiveStall, _augment_via_path, _witness
 
 from rainbowmatch.generators import random_cooperative_family
 
@@ -75,7 +75,8 @@ def test_network_surface_has_one_source_and_target():
                  "check_exchange_lemma", "is_st_path", "AlternatingPath",
                  "alternating_from_edges", "path_to_alternating",
                  "RectifyCycle", "rectify_double_representation",
-                 "PreimageError"):
+                 "PreimageError", "augment", "ConstructiveStall",
+                 "RepresentationClash", "backward_arcs", "useless_arcs"):
         assert not hasattr(rainbowmatch, gone)
         assert gone not in rainbowmatch.__all__
     names = rainbowmatch.__all__
@@ -202,43 +203,32 @@ def test_path_to_alternating_rejects_bad_rep():
     fam = family_on(K22, {(1, 1)}, {(2, 1)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1)})
     _, nf = build_network(fam, rm)
-    with pytest.raises(RepresentationClash):
-        augment(rm, [(2, 1), (1, 2)], [2, 2])  # member reused
+    with pytest.raises(RepresentationClash):  # member reused
+        _exchange(rm.assignment.items(), [(1, 1)], [(2, (2, 1)), (2, (1, 2))])
     with pytest.raises(ConstructiveStall):
         _witness(nf, 2, ("s", (1, 1)))  # wrong owner: no preimage
 
 
 def test_augment_examples():
+    # augmenting is the exchange that drops the path's matched links
     rm = RainbowMatching({1: (1, 1)})
-    out = augment(rm, [(2, 1), (1, 2)], [2, 3])
+    out = _exchange(rm.assignment.items(), [(1, 1)], [(2, (2, 1)), (3, (1, 2))])
     assert out.matching().edges == {(2, 1), (1, 2)}
     assert out.assignment == {2: (2, 1), 3: (1, 2)}
 
-    single = augment(RainbowMatching({}), [(1, 1)], [1])
+    single = _exchange((), (), [(1, (1, 1))])
     assert len(single) == 1
+    with pytest.raises(ValueError):  # (1, 1) kept: the result is no matching
+        _exchange(rm.assignment.items(), [], [(2, (2, 1)), (3, (1, 2))])
 
 
 def test_augment_clash_carries_pairs():
     # member 5's edge survives the toggle, and the path tries to reuse member 5
     rm = RainbowMatching({1: (1, 1), 5: (3, 3)})
     with pytest.raises(RepresentationClash) as caught:
-        augment(rm, [(2, 1), (1, 2)], [2, 5])
+        _exchange(rm.assignment.items(), [(1, 1)], [(2, (2, 1)), (5, (1, 2))])
     assert caught.value.member == 5
     assert ((5, (3, 3)) in caught.value.pairs) and ((5, (1, 2)) in caught.value.pairs)
-
-
-def test_augment_validates_path():
-    rm = RainbowMatching({1: (1, 1)})
-    with pytest.raises(ValueError):
-        augment(rm, [(1, 2)], [2])  # starts at a matched vertex
-    with pytest.raises(ValueError):
-        augment(rm, [(2, 3), (3, 2)], [2, 3])  # link (3, 3) is not matched
-    with pytest.raises(ValueError):
-        augment(rm, [], [])  # empty path
-    with pytest.raises(ValueError):
-        augment(rm, [(2, 1), (1, 2)], [2])  # one member short
-    with pytest.raises(ValueError, match="avoid the matching"):
-        augment(rm, [(2, 1), (1, 1), (1, 2)], [2, 3, 4])
 
 
 def test_rectify_double_representation():
@@ -263,14 +253,6 @@ def test_rectify_requires_double_representation():
     with pytest.raises(RepresentationClash) as caught:
         _exchange(pairs, ((2, 2), (3, 3)), [(5, (3, 2)), (6, (2, 3))])
     assert caught.value.member == 1
-
-
-def test_alternating_from_edges_validates_links():
-    rm = RainbowMatching({1: (1, 1)})
-    with pytest.raises(ValueError):
-        augment(rm, [(2, 2), (3, 3)], [2, 3])  # (2,2) ends unmatched
-    out = augment(rm, [(2, 1), (1, 2)], [2, 3])
-    assert out.matching().edges == {(2, 1), (1, 2)}  # (1, 1) was the link
 
 
 def test_round_trip_path_existence():

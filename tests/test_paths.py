@@ -6,12 +6,13 @@ import pytest
 
 from rainbowmatch import (BipartiteGraph, GreedyStuck, Matching, Network,
                           NetworkFamily, RainbowMatching, RainbowStPath,
-                          Regimentation, SplitMix64, StPath, augment,
+                          Regimentation, SplitMix64, StPath,
                           TheoremViolation, UnionPathError,
                           check_structure_lemmas, dichotomy,
                           exhaustive_rainbow_path, find_regimentation,
                           greedy_rainbow_tree, has_st_path,
                           verify_rainbow_path, verify_regimentation)
+from rainbowmatch.network import _exchange
 
 from .helpers import (abstract_family, all_arcs_over, arc_union,
                       naive_exhaustive_rainbow_path, naive_greedy_rainbow_tree)
@@ -81,8 +82,8 @@ def test_verifier_refuses_vertices_outside_the_network():
 @pytest.mark.parametrize("build", [
     lambda: Regimentation((StPath(("s", "v", "t")),), {True: 0.9, 2.7: 0}),
     lambda: RainbowStPath(StPath(("s", "v", "t")), {0.5: 1, True: 2.9}),
-    lambda: augment(RainbowMatching({}), [(1, 1)], [True]),
-    lambda: augment(RainbowMatching({}), [(1, 1)], [1.0]),
+    lambda: _exchange((), (), [(True, (1, 1))]),
+    lambda: _exchange((), (), [(1.0, (1, 1))]),
     lambda: RainbowMatching({True: (1, 2)}),
     lambda: RainbowMatching({1: (1.9, 2)}),
     lambda: BipartiteGraph(2, 2, {(1.5, True)}),

@@ -4,11 +4,11 @@ from collections import Counter
 import pytest
 
 from rainbowmatch import (Network, NetworkFamily, Regimentation, StPath,
-                          backward_arcs, check_structure_lemmas,
-                          exhaustive_rainbow_path, find_regimentation,
-                          useless_arcs, verify_regimentation)
+                          check_structure_lemmas, exhaustive_rainbow_path,
+                          find_regimentation, verify_regimentation)
 
-from rainbowmatch.regiment import _least_backward_arc
+from rainbowmatch.regiment import (_backward_arcs, _least_backward_arc,
+                                   _useless_arcs)
 
 from .helpers import (abstract_family, all_arcs_over, brute_regimentation,
                       naive_least_backward_arc, naive_st_paths)
@@ -18,11 +18,11 @@ def test_backward_arcs_examples():
     net = Network(inner=("y1", "y2"),
                   arcs={("s", "y1"), ("y1", "y2"), ("y2", "t"), ("y2", "y1")})
     q = StPath(("s", "y1", "y2", "t"))
-    assert backward_arcs(net, q) == {("y2", "y1")}
-    assert backward_arcs(net, StPath(("s", "t"))) == frozenset()
+    assert _backward_arcs(net, q) == {("y2", "y1")}
+    assert _backward_arcs(net, StPath(("s", "t"))) == frozenset()
     forward_only = Network(inner=("y1", "y2"),
                            arcs={("s", "y1"), ("y1", "y2"), ("y2", "t")})
-    assert backward_arcs(forward_only, q) == frozenset()
+    assert _backward_arcs(forward_only, q) == frozenset()
 
 
 def _random_certified_family(rng):
@@ -75,14 +75,14 @@ def test_useless_arcs_examples():
     net = Network(inner=("y1", "y2", "z"),
                   arcs={("s", "y1"), ("y1", "y2"), ("y2", "t")})
     q = StPath(("s", "y1", "y2", "t"))
-    assert useless_arcs(net, q) == {("z", "y1"), ("y2", "z")}
+    assert _useless_arcs(net, q) == {("z", "y1"), ("y2", "z")}
 
     no_offpath = Network(inner=("y1", "y2"),
                          arcs={("s", "y1"), ("y1", "y2"), ("y2", "t")})
-    assert useless_arcs(no_offpath, q) == frozenset()
+    assert _useless_arcs(no_offpath, q) == frozenset()
 
     single = Network(inner=("v", "z"), arcs={("s", "v"), ("v", "t")})
-    assert useless_arcs(single, StPath(("s", "v", "t"))) == {("z", "v"), ("v", "z")}
+    assert _useless_arcs(single, StPath(("s", "v", "t"))) == {("z", "v"), ("v", "z")}
 
 
 def test_verify_regimentation_examples():
@@ -194,7 +194,7 @@ def _planted_family(rng, inner):
     back = []
     for block in blocks:
         q = StPath(("s", *block, "t"))
-        behind = sorted(backward_arcs(net, q))
+        behind = sorted(_backward_arcs(net, q))
         back += behind
         for _ in range(len(q.arcs) - 1):
             members.append(set(q.arcs) | {a for a in behind if rng.random() < 0.3})
@@ -377,8 +377,8 @@ def test_only_path_pruning_property():
             on_q = set(q.vertices)
             disjoint = {(u, v) for (u, v) in arcs
                         if u not in on_q and v not in on_q}
-            allowed = (set(q.arcs) | backward_arcs(net, q) | disjoint
-                       | useless_arcs(net, q))
+            allowed = (set(q.arcs) | _backward_arcs(net, q) | disjoint
+                       | _useless_arcs(net, q))
             for p in paths:
                 if set(p.arcs) <= allowed:
                     assert p == q

@@ -176,7 +176,7 @@ def test_network_family_shape_errors():
 
 def test_matching_certificate_round_trip():
     rm = RainbowMatching({3: (1, 2), 1: (2, 1)})
-    payload = matching_certificate(rm, trail=[{"op": "oracle"}])
+    payload = matching_certificate(rm, trail=[{"op": "swap"}])
     assert payload["schema"] == "rainbow/1"
     assert payload["assignment"][0] == {"set": 1, "edge": [2, 1]}
     again = matching_from_certificate(payload)
@@ -188,7 +188,8 @@ def test_matching_certificate_round_trip():
             {"assignment": [{"set": 1, "edge": [1, 1]},
                             {"set": 2, "edge": [1, 1]}]})
     for entry in ({"set": 1, "edge": [1.9, 1]}, {"set": True, "edge": [1, 1]},
-                  {"set": 1, "edge": 7}):
+                  {"set": 1, "edge": 7}, {"set": 1, "edge": [1, 1, 77]},
+                  {"set": 1, "edge": [1]}, {"set": 1, "edge": "11"}):
         with pytest.raises(CertificateError):
             matching_from_certificate({"assignment": [entry]})
     for assignment in (None, 5, {"1": [1, 1]}):

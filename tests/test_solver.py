@@ -1,7 +1,7 @@
 import pytest
 
-from rainbowmatch import (BipartiteGraph, ConstructiveStall, EdgeFamily,
-                          HypothesisFailure, RainbowMatching, RainbowStPath,
+from rainbowmatch import (BipartiteGraph, EdgeFamily, HypothesisFailure,
+                          RainbowMatching, RainbowStPath, ViolationReport,
                           build_network, exhaustive_rainbow_path,
                           find_regimentation, is_valid_rainbow,
                           rainbow_matching_max, solve_main,
@@ -18,10 +18,9 @@ K33 = BipartiteGraph.complete(3)
 
 def test_solve_main_examples():
     fam = family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
-    for mode in ("constructive", "oracle", "hybrid"):
-        out = solve_main(fam, 2, 2, mode=mode)
-        assert isinstance(out, RainbowMatching)
-        assert is_valid_rainbow(fam, out, size=2)
+    out = solve_main(fam, 2, 2)
+    assert isinstance(out, RainbowMatching)
+    assert is_valid_rainbow(fam, out, size=2)
 
     bad = family_on(K22, {(1, 1)}, {(1, 1)}, {(1, 1)})
     out = solve_main(bad, 2, 2)
@@ -29,7 +28,7 @@ def test_solve_main_examples():
 
     pm = frozenset({(1, 1), (2, 2), (3, 3)})
     six = EdgeFamily(K33, (pm,) * 6)
-    out = solve_main(six, 3, 3, mode="constructive")
+    out = solve_main(six, 3, 3)
     assert is_valid_rainbow(six, out, size=3)
 
 
@@ -43,23 +42,43 @@ def test_solve_main_parameter_errors():
         solve_main(fam, 2, 3)  # wrong family size for (n, k)
     with pytest.raises(ValueError):
         solve_main(family_on(K22, {(1, 1)}, set(), {(2, 1)}), 2, 2)
-    with pytest.raises(ValueError):
-        solve_main(fam, 2, 2, mode="psychic")
+
+
+def _stall_every_path_step(monkeypatch):
+    # a path step that never grows the matching runs the loop into its
+    # budget of 4 * n * len(fam) steps
+    monkeypatch.setattr(solver, "_augment_via_path",
+                        lambda found, nf, rm, trail: rm)
 
 
 def test_solve_main_stalls_past_its_iteration_budget(monkeypatch):
-    # a path step that never grows the matching runs the loop into its
-    # budget of 4 * n * len(fam) = 24 steps
-    monkeypatch.setattr(solver, "_augment_via_path",
-                        lambda found, nf, rm, trail: rm)
+    _stall_every_path_step(monkeypatch)
     fam = family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
     trail = []
-    out = solve_main(fam, 2, 2, mode="hybrid", trail=trail)
-    assert is_valid_rainbow(fam, out, size=2)
-    assert [e["op"] for e in trail] == ["fallback", "oracle"]
-    assert trail[0]["reason"] == "iteration budget 24 exhausted"
-    with pytest.raises(ConstructiveStall, match="iteration budget 24 exhausted"):
-        solve_main(fam, 2, 2, mode="constructive")
+    out = solve_main(fam, 2, 2, trail=trail)
+    assert isinstance(out, ViolationReport)
+    assert out.oracle_size == 2
+    assert "iteration budget 24 exhausted" in out.detail
+    assert "size 2 (>= n = 2)" in out.detail
+    assert trail == []
+
+
+def test_stall_report_tells_a_false_theorem_from_a_broken_step(monkeypatch):
+    # an oracle that under-reports stands in for a family the theorem fails
+    _stall_every_path_step(monkeypatch)
+    calls = []
+
+    def planted(fam):
+        calls.append(fam)
+        return 1, RainbowMatching({1: (1, 1)})
+
+    monkeypatch.setattr(solver, "rainbow_matching_max", planted)
+    fam = family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
+    out = solve_main(fam, 2, 2)
+    assert isinstance(out, ViolationReport)
+    assert out.oracle_size == 1 < 2
+    assert "size 1 (< n = 2)" in out.detail
+    assert calls == [fam]
 
 
 def _swap_owners(monkeypatch):
@@ -78,29 +97,37 @@ def _swap_owners(monkeypatch):
 
 
 def _reuse_member(monkeypatch):
-    # let one member represent every new edge: augment refuses the clash
-    real = solver.augment
-    monkeypatch.setattr(solver, "augment", lambda rm, edges, members:
-                        real(rm, edges, [members[0]] * len(members)))
+    # let one member represent every new edge: the exchange refuses the clash
+    real = solver._exchange
+
+    def reused(pairs, drop, add):
+        add = list(add)
+        return real(pairs, drop, [(add[0][0], edge) for _, edge in add])
+
+    monkeypatch.setattr(solver, "_exchange", reused)
 
 
-@pytest.mark.parametrize("fault", [_swap_owners, _reuse_member])
-def test_failing_step_falls_back_to_the_oracle(monkeypatch, fault):
+@pytest.mark.parametrize("fault, reason", [
+    pytest.param(_swap_owners, "has no edge on arc", id="_swap_owners"),
+    pytest.param(_reuse_member,
+                 "step refused: member 2 would be represented twice",
+                 id="_reuse_member")])
+def test_failing_step_is_reported_as_a_violation(monkeypatch, fault, reason):
     fam = family_on(K22, {(1, 1), (2, 2)}, {(2, 1)}, {(1, 2)})
     fault(monkeypatch)
     trail = []
-    out = solve_main(fam, 2, 2, mode="hybrid", trail=trail)
-    assert [e["op"] for e in trail] == ["augment", "fallback", "oracle"]
-    assert is_valid_rainbow(fam, out, size=2)
-    with pytest.raises(ConstructiveStall):
-        solve_main(fam, 2, 2, mode="constructive")
+    out = solve_main(fam, 2, 2, trail=trail)
+    assert isinstance(out, ViolationReport)
+    assert out.oracle_size == 2
+    assert reason in out.detail
+    assert [e["op"] for e in trail] == ["augment"]
 
 
 def test_constructive_swap_step():
     # reaching size 2 here requires trading the representation of (1,1)
     fam = family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
     trail = []
-    out = solve_main(fam, 2, 2, mode="constructive", trail=trail)
+    out = solve_main(fam, 2, 2, trail=trail)
     assert is_valid_rainbow(fam, out, size=2)
     ops = [e["op"] for e in trail]
     assert "swap" in ops
@@ -121,7 +148,7 @@ def test_extremal_critical_round_at_scale():
                                      key=lambda s: rank.get(s, 2))))
     assert fam.sets[:n] == (shifted,) * (n - 1) + (frozenset({(1, 2)}),)
     trail = []
-    out = solve_main(fam, 2, n, mode="constructive", trail=trail)
+    out = solve_main(fam, 2, n, trail=trail)
     assert is_valid_rainbow(fam, out, size=n)
     assert [e["op"] for e in trail] == ["augment"] * 9 + ["swap", "augment"]
 
@@ -135,11 +162,12 @@ def test_modes_agree_on_random_instances():
             if fam is None:
                 continue
             checked += 1
-            a = solve_main(fam, k, n, mode="constructive")
-            b = solve_main(fam, k, n, mode="oracle")
-            assert isinstance(a, RainbowMatching) and isinstance(b, RainbowMatching)
-            assert is_valid_rainbow(fam, a, size=n)
-            assert is_valid_rainbow(fam, b, size=n)
+            # the construction and the brute-force oracle agree that size
+            # n is reachable
+            out = solve_main(fam, k, n)
+            assert isinstance(out, RainbowMatching)
+            assert is_valid_rainbow(fam, out, size=n)
+            assert len(out) <= rainbow_matching_max(fam)[0]
     assert checked >= 100
 
 
@@ -260,10 +288,3 @@ def test_verify_arrow_statement_errors():
     with pytest.raises(ValueError):
         verify_arrow_statement(2, 3, 2, 2, fam)  # k out of range
 
-
-def test_oracle_mode_trims_to_requested_size():
-    fam = family_on(K22, {(1, 1)}, {(2, 2)}, {(1, 2), (2, 1)})
-    size, _ = rainbow_matching_max(fam)
-    assert size == 2
-    out = solve_main(fam, 2, 2, mode="oracle")
-    assert len(out) == 2
