@@ -7,20 +7,21 @@ Commands: solve, check, gen, certify, search, export-dot.  Exit codes:
     2   hypothesis failure (a k-union is too small)
     3   violation report (falsification channel; never expected): the
         hypothesis holds, yet the construction stalled
-    64  unreadable or unparseable input (including non-UTF-8 files), or
-        bad command usage
+    64  unreadable or unparseable input (including non-UTF-8 files, an
+        instance side above 2**16 and an integer past Python's digit
+        limit), or bad command usage
     65  parameter mismatch (sizes, ranges, emptiness and search-size bounds)
-    66  malformed certificate file (including a non-UTF-8 one)
+    66  malformed certificate file (including a non-UTF-8 one and an
+        integer past the digit limit)
 
 The environment variable RAINBOW_SEED overrides --seed wherever a seed is
-taken.
+taken.  gen refuses a flag its family does not take.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -29,10 +30,11 @@ from .generators import drisko_family, sharpness_family, staircase_family
 from .network import build_network
 from .regiment import check_structure_lemmas, verify_regimentation
 from .search import TARGETS, conjecture_search
-from .serialize import (CertificateError, ParseError, dumps_canonical,
-                        family_dumps, family_to_json, load_instance,
-                        matching_certificate, matching_from_certificate,
-                        network_dot, regimentation_from_certificate)
+from .serialize import (CertificateError, ParseError, _json_loads,
+                        dumps_canonical, family_dumps, family_to_json,
+                        load_instance, matching_certificate,
+                        matching_from_certificate, network_dot,
+                        regimentation_from_certificate)
 from .solver import (HypothesisFailure, ViolationReport, solve_main,
                      verify_arrow_statement)
 
@@ -71,12 +73,7 @@ def _load_family(path: str) -> EdgeFamily:
 
 
 def _load_certificate(path: str):
-    text = _read(path, CertificateError)
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's recursion limit
-        raise CertificateError(str(exc)) from exc
+    return _json_loads(_read(path, CertificateError), CertificateError)
 
 
 def _integer(text: str) -> int:
@@ -89,9 +86,10 @@ def _integer(text: str) -> int:
 
 
 def _seed(args) -> int:
+    """RAINBOW_SEED when set, else --seed, else 0."""
     env = os.environ.get("RAINBOW_SEED")
     if env is None:
-        return args.seed
+        return args.seed or 0
     try:
         return _integer(env)
     except (argparse.ArgumentTypeError, ValueError):
@@ -131,7 +129,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = _seed(args)
+    # each family takes two of --n, --k and --seed
+    ignored = {"sharpness": "seed", "drisko": "k", "staircase": "n"}[args.family]
+    if getattr(args, ignored) is not None:
+        raise ParseError(f"gen {args.family} does not take --{ignored}")
     if args.family == "sharpness":
         if args.n is None or args.k is None:
             raise ParseError("gen sharpness needs --n and --k")
@@ -139,11 +140,11 @@ def _cmd_gen(args) -> int:
     elif args.family == "drisko":
         if args.n is None:
             raise ParseError("gen drisko needs --n")
-        fam = drisko_family(args.n, seed)
+        fam = drisko_family(args.n, _seed(args))
     else:
         if args.k is None:
             raise ParseError("gen staircase needs --k")
-        fam = staircase_family(args.k, seed)
+        fam = staircase_family(args.k, _seed(args))
     print(family_dumps(fam), end="")
     return EXIT_OK
 
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--n", type=_integer)
     p.add_argument("--k", type=_integer)
-    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--seed", type=_integer)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("certify", help="verify a regimentation certificate")

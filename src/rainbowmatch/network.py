@@ -4,10 +4,8 @@ A network built over a matching has the matching's edges as inner
 vertices; each non-matching graph edge of a family member turns into an
 arc, and source-target paths correspond to augmenting alternating paths.
 The source and target are always SOURCE ("s") and TARGET ("t").  The
-module also holds the exchange every constructive step makes: drop
-matched edges, add (member, edge) pairs, refuse a doubly represented
-member.  Augmenting along a source-target path is that exchange with the
-path's interior dropped.
+module stops at arcs: an arc's ends already tell which graph edges lie
+on it, and the solver reads a member's edge back from them.
 
 Inside, vertices are their ranks (source 0, inner vertices 1..r, target
 r + 1) and arc (u, v) is bit rank(u) * |V| + rank(v) of an integer mask,
@@ -17,14 +15,12 @@ mask; the tuple and frozenset views are built only where callers ask.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .core import (Edge, EdgeFamily, RainbowMatching, _require_ints,
-                   is_valid_rainbow)
+from .core import Edge, EdgeFamily, RainbowMatching, is_valid_rainbow
 
 SOURCE = "s"
 TARGET = "t"
@@ -33,19 +29,6 @@ TARGET = "t"
 # or plain string labels for standalone networks.
 Vertex = str | Edge
 Arc = tuple[Vertex, Vertex]
-
-
-class RepresentationClash(ValueError):
-    """Two edges would represent the same member.
-
-    Carries the raw (member, edge) pairs of the refused candidate, so the
-    caller can repair it with a further exchange.
-    """
-
-    def __init__(self, member: int, pairs: Sequence[tuple[int, Edge]]):
-        super().__init__(f"member {member} would be represented twice")
-        self.member = member
-        self.pairs = tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -243,10 +226,9 @@ class NetworkFamily:
     masks holds one arc mask per member; sets is the frozenset view,
     built on first use for families not given as sets.  origin maps member
     positions (1-based) to edge-family indices for families from
-    build_network, which also keep their member edges for _least_witness;
-    it is None for families built from arc sets or masks.  Every public
-    function taking a network with a family refuses (ValueError) a network
-    that is neither the family's nor equal to it.
+    build_network; it is None for families built from arc sets or masks.
+    Every public function taking a network with a family refuses
+    (ValueError) a network that is neither the family's nor equal to it.
     """
 
     network: Network
@@ -262,7 +244,7 @@ class NetworkFamily:
                        if not s <= network.arcs)
             raise ValueError(f"member {idx} uses arcs outside the network") from None
         self.__dict__.update(network=network, masks=masks, origin=None,
-                             _sets=sets, _edges=None)
+                             _sets=sets)
 
     @classmethod
     def from_masks(cls, network: Network, masks: Iterable[int]) -> "NetworkFamily":
@@ -278,16 +260,15 @@ class NetworkFamily:
                     f"member {idx} must be a nonnegative int mask, got {mask!r}")
             if mask & outside:
                 raise ValueError(f"member {idx} uses arcs outside the network")
-        return cls._over(network, masks, None, None)
+        return cls._over(network, masks, None)
 
     @classmethod
-    def _over(cls, network: Network, masks: tuple, origin: tuple | None,
-              edges: tuple | None) -> "NetworkFamily":
-        """A family over masks of network arcs; edges as build_network
-        keeps them, or None."""
+    def _over(cls, network: Network, masks: tuple,
+              origin: tuple | None) -> "NetworkFamily":
+        """A family over masks of network arcs, unchecked."""
         nf = object.__new__(cls)
         nf.__dict__.update(network=network, masks=masks, origin=origin,
-                           _sets=None, _edges=edges)
+                           _sets=None)
         return nf
 
     @property
@@ -307,18 +288,6 @@ def _network_of(net: Network, nf: NetworkFamily) -> Network:
     if net is not nf.network and net != nf.network:
         raise ValueError("the network is not the family's network")
     return nf.network
-
-
-def _least_witness(nf: NetworkFamily, pos: int, arc) -> Edge | None:
-    """The least graph edge of member position pos that maps onto arc, or
-    None when there is none (always for families built from arc sets)."""
-    bit = nf.network._bit.get(arc, 0)
-    if nf._edges is None or not 1 <= pos <= len(nf.masks) \
-            or not nf.masks[pos - 1] & bit:
-        return None
-    members, a_row, b_rank = nf._edges
-    index = bit.bit_length() - 1
-    return min(h for h in members[pos - 1] if a_row[h[0]] + b_rank[h[1]] == index)
 
 
 def has_st_path(arcs: Iterable, source=SOURCE, target=TARGET) -> bool:
@@ -349,8 +318,8 @@ def build_network(fam: EdgeFamily,
     edge of an unrepresented member becomes an arc: matched endpoints point
     at their matching edges, an unmatched A-endpoint contributes the source,
     an unmatched B-endpoint the target; (source, target) encodes a directly
-    addable edge.  _least_witness reads a (member, arc) pair's graph edge
-    from the member on lookup.
+    addable edge.  The family keeps only arc masks: an arc's ends tell
+    which graph edges lie on it.
     """
     if not is_valid_rainbow(fam, rm):
         raise ValueError("not a valid rainbow matching of the family")
@@ -367,35 +336,13 @@ def build_network(fam: EdgeFamily,
     # exactly the matching edges land on the diagonal, as self-loops
     off_diagonal = ~sum(powers[rank * (size + 1)] for rank in range(1, size - 1))
     unrepresented = tuple(i for i in range(1, len(fam) + 1) if i not in rm.assignment)
-    members = tuple(fam.member(i) for i in unrepresented)
     masks = []
-    for s in members:
+    for i in unrepresented:
         mask = 0
-        for a, b in s:
+        for a, b in fam.member(i):
             mask |= powers[a_row[a] + b_rank[b]]
         masks.append(mask & off_diagonal)
     masks = tuple(masks)
     net = Network._from_mask(inner, reduce(or_, masks, 0))
-    nf = NetworkFamily._over(net, masks, unrepresented, (members, a_row, b_rank))
+    nf = NetworkFamily._over(net, masks, unrepresented)
     return net, nf
-
-
-def _exchange(pairs: Iterable[tuple[int, Edge]], drop: Iterable[Edge],
-              add: Iterable[tuple[int, Edge]]) -> RainbowMatching:
-    """The rainbow matching left when the edges in drop leave pairs and
-    the (member, edge) pairs in add join them.
-
-    Every constructive move is one such exchange.  A member that would be
-    represented twice raises RepresentationClash, carrying the candidate
-    pairs; a result that is not a matching raises ValueError.
-    """
-    add = list(add)
-    _require_ints([i for i, _ in add], "a member id")
-    drop = set(drop)
-    out = sorted(p for p in pairs if p[1] not in drop) + add
-    counts = Counter(i for i, _ in out)
-    doubled = sorted(i for i, c in counts.items() if c > 1)
-    if doubled:
-        raise RepresentationClash(doubled[0], out)
-    return RainbowMatching(dict(out))
-

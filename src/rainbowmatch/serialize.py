@@ -25,6 +25,10 @@ from .regiment import Regimentation, _backward_arcs
 
 SCHEMA = "rainbow/1"
 
+# the most vertices an instance may declare on one side: the oracles
+# allocate per-vertex tables, so a larger side only runs out of memory
+_MAX_SIDE = 2 ** 16
+
 
 class ParseError(ValueError):
     """An input file does not match its expected shape."""
@@ -88,12 +92,14 @@ def _strict_int(raw: Any, what: str) -> int:
     return raw
 
 
-def _json_loads(text: str) -> Any:
+def _json_loads(text: str, error: type[ValueError] = ParseError) -> Any:
+    """The JSON value in text; unreadable text raises error."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer past the digit limit;
         # RecursionError: nesting deeper than the decoder's recursion limit
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise error(f"invalid JSON: {exc}") from exc
 
 
 # -- bipartite instances ----------------------------------------------------
@@ -117,6 +123,8 @@ def family_from_json(payload: Any) -> EdgeFamily:
         raise ParseError(f"instance is missing a field: {exc}") from exc
     left = _strict_int(left, "left")
     right = _strict_int(right, "right")
+    if max(left, right) > _MAX_SIDE:
+        raise ParseError(f"a side may hold at most {_MAX_SIDE} vertices")
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ParseError("instance needs a nonempty list of sets")
     # one pass checks shape and integer type; the messages are built only

@@ -6,21 +6,22 @@ grown by repeated augmentation: build the network over the current
 matching, search for a rainbow source-target path and augment along it;
 when no such path exists the family is regimented and one of the local
 exchange steps applies (representation swap, direct addition, cycle
-exchange, or augment-then-rectify).  Every step is one call to
-network._exchange.  There is no other route to an answer: a construction
-that stalls is reported as a ViolationReport, with the brute-force
-oracle's size beside the reason.
+exchange, or augment-then-rectify).  Every step is one _exchange, each
+arc it uses read back as its member's least edge on it (_witness).  There
+is no other route to an answer: a construction that stalls is reported as
+a ViolationReport, with the brute-force oracle's size beside the reason.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .core import (Edge, EdgeFamily, RainbowMatching,
+from .core import (Edge, EdgeFamily, RainbowMatching, _require_ints,
                    cooperative_condition, is_valid_rainbow, max_matching,
                    rainbow_matching_max)
-from .network import (RepresentationClash, _exchange, _least_witness,
-                      build_network)
+from .network import SOURCE, TARGET, build_network
 from .dichotomy import TheoremViolation, path_or_certificate
 from .paths import RainbowStPath
 from .regiment import _least_backward_arc
@@ -49,6 +50,39 @@ class ViolationReport:
 class ConstructiveStall(RuntimeError):
     """The constructive loop cannot continue (budget or unexpected state);
     solve_main reports it as a ViolationReport."""
+
+
+class RepresentationClash(ValueError):
+    """Two edges would represent the same member.
+
+    Carries the raw (member, edge) pairs of the refused candidate, so the
+    caller can repair it with a further exchange.
+    """
+
+    def __init__(self, member: int, pairs: Sequence[tuple[int, Edge]]):
+        super().__init__(f"member {member} would be represented twice")
+        self.member = member
+        self.pairs = tuple(pairs)
+
+
+def _exchange(pairs: Iterable[tuple[int, Edge]], drop: Iterable[Edge],
+              add: Iterable[tuple[int, Edge]]) -> RainbowMatching:
+    """The rainbow matching left when the edges in drop leave pairs and
+    the (member, edge) pairs in add join them.
+
+    Every constructive move is one such exchange.  A member that would be
+    represented twice raises RepresentationClash, carrying the candidate
+    pairs; a result that is not a matching raises ValueError.
+    """
+    add = list(add)
+    _require_ints([i for i, _ in add], "a member id")
+    drop = set(drop)
+    out = sorted(p for p in pairs if p[1] not in drop) + add
+    counts = Counter(i for i, _ in out)
+    doubled = sorted(i for i, c in counts.items() if c > 1)
+    if doubled:
+        raise RepresentationClash(doubled[0], out)
+    return RainbowMatching(dict(out))
 
 
 def _log(trail: list | None, event: dict) -> None:
@@ -101,7 +135,7 @@ def _constructive(fam: EdgeFamily, k: int, n: int,
         found = path_or_certificate(nf)
         try:
             if isinstance(found, RainbowStPath):
-                nxt = _augment_via_path(found, nf, rm, trail)
+                nxt = _augment_via_path(fam, found, nf, rm, trail)
             else:
                 if len(nf) != len(nf.network.inner) + k - 1:
                     raise ConstructiveStall(
@@ -123,11 +157,27 @@ def _constructive(fam: EdgeFamily, k: int, n: int,
     return rm
 
 
-def _witness(nf, pos: int, arc) -> Edge:
-    """The least graph edge of member position pos that maps onto arc."""
-    edge = _least_witness(nf, pos, arc)
+def _witness(fam: EdgeFamily, i: int, arc, rm: RainbowMatching) -> Edge:
+    """The least edge of member i on arc of the network over rm.
+
+    An inner vertex is a matching edge: as the arc's tail it fixes the
+    edge's A-vertex, as its head the B-vertex.  The source stands for any
+    unmatched A-vertex and the target for any unmatched B-vertex.
+    """
+    u, v = arc
+    if u == v or u == TARGET or v == SOURCE:
+        edge = None  # a self-loop, an arc into s or an arc out of t
+    elif u != SOURCE and v != TARGET:
+        edge = (u[0], v[1]) if (u[0], v[1]) in fam.member(i) else None
+    else:
+        matched_a = {a for a, _ in rm.assignment.values()}
+        matched_b = {b for _, b in rm.assignment.values()}
+        edge = min((e for e in fam.member(i)
+                    if (e[0] not in matched_a if u == SOURCE else e[0] == u[0])
+                    and (e[1] not in matched_b if v == TARGET else e[1] == v[1])),
+                   default=None)
     if edge is None:
-        raise ConstructiveStall(f"member position {pos} has no edge on arc {arc}")
+        raise ConstructiveStall(f"member {i} has no edge on arc {arc}")
     return edge
 
 
@@ -138,7 +188,7 @@ def _grown(rm: RainbowMatching, result: RainbowMatching) -> RainbowMatching:
     return result
 
 
-def _augment_via_path(found, nf, rm: RainbowMatching,
+def _augment_via_path(fam: EdgeFamily, found, nf, rm: RainbowMatching,
                       trail: list | None) -> RainbowMatching:
     """Augment along a rainbow source-target path, each arc realized by
     its member's least edge on it and each inner vertex, a matching edge,
@@ -147,11 +197,9 @@ def _augment_via_path(found, nf, rm: RainbowMatching,
     New edges represent previously unrepresented members, so no clash is
     possible on this route.
     """
-    edges, member_ids = [], []
-    for j, arc in enumerate(found.path.arcs):
-        pos = found.representation[j]
-        edges.append(_witness(nf, pos, arc))
-        member_ids.append(nf.origin[pos - 1])
+    arcs = found.path.arcs
+    member_ids = [nf.origin[found.representation[j] - 1] for j in range(len(arcs))]
+    edges = [_witness(fam, i, arc, rm) for i, arc in zip(member_ids, arcs)]
     result = _grown(rm, _exchange(rm.assignment.items(), found.path.interior,
                                   zip(member_ids, edges)))
     _log(trail, {"op": "augment", "path": [list(v) if isinstance(v, tuple) else v
@@ -250,7 +298,7 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg,
     if len(tail_arcs) > len(pool):
         raise ConstructiveStall("certificate lacks members to represent the walk")
     walk_ids = pool[:len(tail_arcs)]
-    edges = [ax] + [_witness(nf, nf.origin.index(i) + 1, arc)
+    edges = [ax] + [_witness(fam, i, arc, rm)
                     for arc, i in zip(tail_arcs, walk_ids)]
     try:
         result = _grown(rm, _exchange(rm.assignment.items(), tail[:-1],

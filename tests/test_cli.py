@@ -138,6 +138,29 @@ def test_gen_missing_flag_exits_64(capsys):
     assert "needs --n and --k" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--family", "sharpness", "--n", "3", "--k", "2", "--seed", "77"), "--seed"),
+    (("--family", "drisko", "--n", "3", "--k", "99"), "--k"),
+    (("--family", "staircase", "--k", "2", "--seed", "1", "--n", "9"), "--n"),
+])
+def test_gen_refuses_a_flag_its_family_does_not_take(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert (code, out) == (64, "")
+    assert f"does not take {flag}" in err
+
+
+def test_gen_reads_the_seed_only_for_seeded_families(capsys, monkeypatch):
+    sharp = ("gen", "--family", "sharpness", "--n", "3", "--k", "2")
+    plain = run_cli(capsys, *sharp)
+    monkeypatch.setenv("RAINBOW_SEED", "abc")
+    assert run_cli(capsys, *sharp) == plain
+    assert run_cli(capsys, *_DRISKO2)[0] == 64
+    monkeypatch.delenv("RAINBOW_SEED")
+    # an omitted seed still means 0
+    for argv in (_DRISKO2, ("gen", "--family", "staircase", "--k", "2")):
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--seed", "0")
+
+
 def test_solve_paths_and_exit_codes(tmp_path, capsys, sharp22, drisko2):
     # sharpness file has 2 members, but (n=2, k=2) requires 3
     code, _, err = run_cli(capsys, "solve", "--input", str(sharp22),
@@ -314,7 +337,7 @@ def test_solve_reports_a_stalled_construction_with_exit_3(capsys, monkeypatch,
                                                           drisko2):
     # a path step that never grows the matching stalls the construction
     monkeypatch.setattr(solver, "_augment_via_path",
-                        lambda found, nf, rm, trail: rm)
+                        lambda fam, found, nf, rm, trail: rm)
     code, out, err = run_cli(capsys, "solve", "--input", str(drisko2),
                              "--n", "2", "--k", "2")
     assert code == 3
@@ -454,6 +477,43 @@ def test_unreadable_certificate_exits_66(tmp_path, kind):
     assert proc.stdout == ""
     assert "malformed certificate" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("side", [2 ** 62, 10 ** 19])
+def test_a_huge_side_is_a_parse_error(tmp_path, capsys, side):
+    # the oracles' per-vertex tables would raise MemoryError or OverflowError
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"left": side, "right": 2,
+                                "sets": [[[1, 1]], [[2, 2]], [[1, 2]]]}))
+    for argv in (("solve", "--n", "2", "--k", "2"),
+                 ("check", "--m", "3", "--k", "2", "--n", "2", "--q", "2")):
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert (code, out) == (64, ""), argv
+        assert "a side may hold at most 65536 vertices" in err
+
+
+def _past_digit_limit() -> str:
+    if not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits():
+        pytest.skip("this Python has no integer digit limit")
+    return "1" * (sys.get_int_max_str_digits() + 1)
+
+
+def test_an_integer_past_the_digit_limit_is_unreadable(tmp_path, capsys, drisko2):
+    digits = _past_digit_limit()
+    path = tmp_path / "inst.json"
+    path.write_text('{"left": %s, "right": 2, "sets": [[[1, 1]]]}' % digits)
+    code, out, err = run_cli(capsys, "solve", "--input", str(path),
+                             "--n", "2", "--k", "2")
+    assert (code, out) == (64, "")
+    assert "parse error: invalid JSON" in err
+
+    matching = tmp_path / "matching.json"
+    matching.write_text('{"schema": "rainbow/1", "assignment": '
+                        '[{"set": %s, "edge": [1, 1]}]}' % digits)
+    code, out, err = run_cli(capsys, "export-dot", "--input", str(drisko2),
+                             "--matching", str(matching))
+    assert (code, out) == (66, "")
+    assert "malformed certificate: invalid JSON" in err
 
 
 def test_malformed_regimentation_names_its_fault_once(tmp_path, capsys):

@@ -7,9 +7,9 @@ import rainbowmatch
 from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, Network,
                           NetworkFamily, RainbowMatching, RainbowStPath,
                           StPath, build_network, has_st_path)
-from rainbowmatch.network import (RepresentationClash, _exchange,
-                                  _least_witness, _rank_paths)
-from rainbowmatch.solver import ConstructiveStall, _augment_via_path, _witness
+from rainbowmatch.network import _rank_paths
+from rainbowmatch.solver import (ConstructiveStall, RepresentationClash,
+                                 _augment_via_path, _exchange, _witness)
 
 from rainbowmatch.generators import random_cooperative_family
 
@@ -69,8 +69,9 @@ def test_network_surface_has_one_source_and_target():
         NetworkFamily(net, sets, preimages={})
     nf = NetworkFamily(net, sets)
     assert nf.origin is None
-    assert _least_witness(nf, 1, ("s", "v")) is None  # no graph behind it
-    assert not hasattr(rainbowmatch.network, "_Preimages")
+    # the network layer stops at arcs: the solver reads edges and exchanges
+    for gone in ("_Preimages", "_least_witness", "_exchange", "RepresentationClash"):
+        assert not hasattr(rainbowmatch.network, gone)
     for gone in ("contract_source_edge", "uncontract_path", "st_paths",
                  "check_exchange_lemma", "is_st_path", "AlternatingPath",
                  "alternating_from_edges", "path_to_alternating",
@@ -121,9 +122,9 @@ def test_build_network_four_cases():
     assert net.inner == ((1, 1),)
     assert net.arcs == {((1, 1), "t"), ("s", (1, 1)), ("s", "t")}
     assert nf.origin == (2,)
-    assert _least_witness(nf, 1, ("s", (1, 1))) == (2, 1)
-    assert _least_witness(nf, 1, ((1, 1), "t")) == (1, 2)
-    assert _least_witness(nf, 1, ("s", "t")) == (2, 2)
+    assert _witness(fam, 2, ("s", (1, 1)), rm) == (2, 1)
+    assert _witness(fam, 2, ((1, 1), "t"), rm) == (1, 2)
+    assert _witness(fam, 2, ("s", "t"), rm) == (2, 2)
 
 
 def test_build_network_matched_to_matched():
@@ -156,9 +157,10 @@ def _translated(fam, graph, rm, path, rep):
     the result of augmenting along them."""
     _, nf = build_network(fam, rm)
     p = StPath(path)
-    edges = [_witness(nf, rep[j], arc) for j, arc in enumerate(p.arcs)]
+    edges = [_witness(fam, nf.origin[rep[j] - 1], arc, rm)
+             for j, arc in enumerate(p.arcs)]
     trail = []
-    out = _augment_via_path(RainbowStPath(p, rep), nf, rm, trail)
+    out = _augment_via_path(fam, RainbowStPath(p, rep), nf, rm, trail)
     assert trail[-1]["members"] == [nf.origin[rep[j] - 1] for j in sorted(rep)]
     return edges, out
 
@@ -202,11 +204,10 @@ def test_path_to_alternating_least_preimage():
 def test_path_to_alternating_rejects_bad_rep():
     fam = family_on(K22, {(1, 1)}, {(2, 1)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1)})
-    _, nf = build_network(fam, rm)
     with pytest.raises(RepresentationClash):  # member reused
         _exchange(rm.assignment.items(), [(1, 1)], [(2, (2, 1)), (2, (1, 2))])
     with pytest.raises(ConstructiveStall):
-        _witness(nf, 2, ("s", (1, 1)))  # wrong owner: no preimage
+        _witness(fam, 3, ("s", (1, 1)), rm)  # wrong owner: no preimage
 
 
 def test_augment_examples():
@@ -321,11 +322,14 @@ def test_build_network_matches_naive_reference():
         assert nf.origin == origin
         assert net.arcs == frozenset().union(*sets)
         every_arc = [(u, v) for u in net.vertices for v in net.vertices]
-        for pos in range(len(sets) + 2):
+        for pos, i in enumerate(nf.origin, start=1):
             for arc in every_arc:
                 key = (pos, arc)
-                expected = min(preimages[key]) if key in preimages else None
-                assert _least_witness(nf, pos, arc) == expected, key
+                if key in preimages:
+                    assert _witness(fam, i, arc, rm) == min(preimages[key]), key
+                else:
+                    with pytest.raises(ConstructiveStall):
+                        _witness(fam, i, arc, rm)
         several += any(len(edges) > 1 for edges in preimages.values())
         outside = [a for a in all_arcs_over(net.inner) if a not in net.arcs]
         if outside:

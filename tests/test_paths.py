@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import sys
@@ -12,7 +13,7 @@ from rainbowmatch import (BipartiteGraph, GreedyStuck, Matching, Network,
                           exhaustive_rainbow_path, find_regimentation,
                           greedy_rainbow_tree, has_st_path,
                           verify_rainbow_path, verify_regimentation)
-from rainbowmatch.network import _exchange
+from rainbowmatch.solver import _exchange
 
 from .helpers import (abstract_family, all_arcs_over, arc_union,
                       naive_exhaustive_rainbow_path, naive_greedy_rainbow_tree)
@@ -172,6 +173,16 @@ def test_dichotomy_path_and_certificate():
     out = dichotomy(mixed.network, mixed, 2)
     assert isinstance(out, RainbowStPath)
     assert out.representation == {0: 1, 1: 2}
+
+
+def test_dichotomy_reports_a_theorem_violation(monkeypatch):
+    # with the certificate search disabled, a critical-size family with no
+    # rainbow path has neither outcome
+    module = importlib.import_module("rainbowmatch.dichotomy")
+    monkeypatch.setattr(module, "find_regimentation", lambda net, nf: None)
+    single = abstract_family(("v",), [{("s", "v"), ("v", "t")}])
+    out = dichotomy(single.network, single, 1)
+    assert isinstance(out, TheoremViolation)
 
 
 def test_dichotomy_checks_size_and_hypothesis():

@@ -1,16 +1,20 @@
+import importlib
+
 import pytest
 
 from rainbowmatch import (BipartiteGraph, EdgeFamily, HypothesisFailure,
-                          RainbowMatching, RainbowStPath, ViolationReport,
-                          build_network, exhaustive_rainbow_path,
+                          RainbowMatching, RainbowStPath, TheoremViolation,
+                          ViolationReport, build_network, exhaustive_rainbow_path,
                           find_regimentation, is_valid_rainbow,
                           rainbow_matching_max, solve_main,
                           verify_arrow_statement)
 from rainbowmatch.generators import random_cooperative_family, sharpness_family
 from rainbowmatch import solver
 from rainbowmatch.solver import _regimented_step
+from rainbowmatch.serialize import family_from_json
 
 from .helpers import brute_regimentation, family_on
+from .test_cli_golden import _FILES
 
 K22 = BipartiteGraph.complete(2)
 K33 = BipartiteGraph.complete(3)
@@ -48,7 +52,7 @@ def _stall_every_path_step(monkeypatch):
     # a path step that never grows the matching runs the loop into its
     # budget of 4 * n * len(fam) steps
     monkeypatch.setattr(solver, "_augment_via_path",
-                        lambda found, nf, rm, trail: rm)
+                        lambda fam, found, nf, rm, trail: rm)
 
 
 def test_solve_main_stalls_past_its_iteration_budget(monkeypatch):
@@ -79,6 +83,35 @@ def test_stall_report_tells_a_false_theorem_from_a_broken_step(monkeypatch):
     assert out.oracle_size == 1 < 2
     assert "size 1 (< n = 2)" in out.detail
     assert calls == [fam]
+
+
+def _no_certificate(monkeypatch):
+    module = importlib.import_module("rainbowmatch.dichotomy")
+    monkeypatch.setattr(module, "find_regimentation", lambda net, nf: None)
+
+
+def _theorem_violation(monkeypatch):
+    monkeypatch.setattr(solver, "path_or_certificate",
+                        lambda nf: TheoremViolation("planted"))
+
+
+@pytest.mark.parametrize("fault, reason", [
+    pytest.param(_no_certificate,
+                 "neither rainbow path nor regimentation certificate",
+                 id="_no_certificate"),
+    pytest.param(_theorem_violation,
+                 "no rainbow path although the family exceeds the critical size",
+                 id="_theorem_violation")])
+def test_missing_path_and_certificate_is_reported(monkeypatch, fault, reason):
+    # the golden extremal order: its critical last round has no rainbow
+    # path, so it stalls without a certificate; a planted violation stalls
+    # the first round, which exceeds the critical size
+    fam = family_from_json(_FILES["extremal"])
+    fault(monkeypatch)
+    out = solve_main(fam, 2, 4)
+    assert isinstance(out, ViolationReport)
+    assert reason in out.detail
+    assert out.oracle_size == 4
 
 
 def _swap_owners(monkeypatch):
