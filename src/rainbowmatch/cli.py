@@ -8,9 +8,12 @@ Commands: solve, check, gen, certify, search, export-dot.  Exit codes:
     3   violation report (falsification channel; never expected): the
         hypothesis holds, yet the construction stalled
     64  unreadable or unparseable input (including non-UTF-8 files, an
-        instance side above 2**16 and an integer past Python's digit
-        limit), or bad command usage
-    65  parameter mismatch (sizes, ranges, emptiness and search-size bounds)
+        instance side above 2**16, a network instance above 2**10 inner
+        vertices and an integer past Python's digit limit), or bad command
+        usage
+    65  parameter mismatch (sizes, ranges, emptiness and search-size
+        bounds), or an instance deeper than the recursive kernels reach
+        within Python's recursion limit
     66  malformed certificate file (including a non-UTF-8 one and an
         integer past the digit limit)
 
@@ -273,6 +276,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # after the two above: ParseError and CertificateError are ValueErrors
         print(f"parameter mismatch: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    except RecursionError:
+        # the matching kernel and the two walks in core recurse once per
+        # path vertex or member
+        print("parameter mismatch: the instance is too deep for the "
+              "recursive kernels (maximum recursion depth exceeded)",
+              file=sys.stderr)
         return EXIT_PARAMS
 
 

@@ -41,6 +41,7 @@ class BipartiteGraph:
     edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
+        _require_ints((self.left_size, self.right_size), "a side size")
         if self.left_size < 1 or self.right_size < 1:
             raise ValueError("both sides need at least one vertex")
         edges = frozenset(_as_edge(e) for e in self.edges)
@@ -53,6 +54,7 @@ class BipartiteGraph:
     def complete(cls, left_size: int, right_size: int | None = None) -> "BipartiteGraph":
         """K_{left,right}; the right side defaults to the left's size."""
         rs = left_size if right_size is None else right_size
+        _require_ints((left_size, rs), "a side size")
         return cls(left_size, rs,
                    frozenset((a, b) for a in range(1, left_size + 1)
                              for b in range(1, rs + 1)))
@@ -372,6 +374,7 @@ def cooperative_condition(fam: EdgeFamily, k: int, n: int) -> tuple[int, ...] | 
     index set (1-based, ascending).  Runs the shared prefix-union walk on
     the bitmask kernel.
     """
+    _require_ints((k, n), "a size parameter")
     m = len(fam)
     if not 1 <= k <= m:
         raise ValueError(f"k must satisfy 1 <= k <= {m}")

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .core import BipartiteGraph, EdgeFamily, _edge_table, cooperative_condition
+from .core import (BipartiteGraph, EdgeFamily, _edge_table, _require_ints,
+                   cooperative_condition)
 from .rng import SplitMix64
 
 
@@ -18,6 +19,7 @@ def sharpness_family(n: int, k: int) -> tuple[BipartiteGraph, EdgeFamily]:
     {a_1 b_2}.  Every union of at least k members has a matching of size
     n, yet the largest rainbow matching has size n-1.
     """
+    _require_ints((n, k), "a size parameter")
     if n < 2 or k < 2:
         raise ValueError("need n >= 2 and k >= 2")
     g = BipartiteGraph.complete(n)
@@ -30,6 +32,7 @@ def sharpness_family(n: int, k: int) -> tuple[BipartiteGraph, EdgeFamily]:
 
 def drisko_family(n: int, seed: int = 0) -> EdgeFamily:
     """2n-1 uniformly random perfect matchings of K_{n,n}."""
+    _require_ints((n,), "a size parameter")
     if n < 1:
         raise ValueError("need n >= 1")
     g = BipartiteGraph.complete(n)
@@ -44,6 +47,7 @@ def drisko_family(n: int, seed: int = 0) -> EdgeFamily:
 
 def staircase_family(k: int, seed: int = 0) -> EdgeFamily:
     """2k-1 random matchings in K_{k,k} with sizes min(i, k) for i = 1..2k-1."""
+    _require_ints((k,), "a size parameter")
     if k < 1:
         raise ValueError("need k >= 1")
     g = BipartiteGraph.complete(k)
@@ -94,8 +98,11 @@ def random_cooperative_family(n: int, k: int, graph: BipartiteGraph,
     """Rejection-sample a family of 2n+k-3 nonempty edge subsets whose
     every k-union has matching number at least n; None when the attempt
     budget runs out.  Deterministic per seed."""
+    _require_ints((n, k), "a size parameter")
+    if type(density) is bool or not 0 <= density <= 1:
+        raise ValueError(f"density must lie in [0, 1], got {density!r}")
     rng = SplitMix64(seed)
-    permille = max(0, min(1000, round(density * 1000)))
+    permille = round(density * 1000)
     for _ in range(attempts):
         fam = random_family(graph, 2 * n + k - 3, rng, permille)
         if cooperative_condition(fam, k, n) is None:

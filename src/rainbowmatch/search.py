@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (BipartiteGraph, EdgeFamily, _edge_table, _first_short_union,
-                   _mask_rows, _rainbow_walk, _rows, matching_number,
-                   rainbow_matching_max)
+                   _mask_rows, _rainbow_walk, _require_ints, _rows,
+                   matching_number, rainbow_matching_max)
 from .generators import _random_picks
 from .rng import SplitMix64
 
@@ -95,6 +95,7 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")
+    _require_ints((k, budget), "a size parameter")
     if k < 1:
         raise ValueError("need k >= 1")
     if budget < 0:

@@ -28,6 +28,9 @@ SCHEMA = "rainbow/1"
 # the most vertices an instance may declare on one side: the oracles
 # allocate per-vertex tables, so a larger side only runs out of memory
 _MAX_SIDE = 2 ** 16
+# the most inner vertices a network instance may declare: a member mask
+# holds about |V|**2 bits, so 2**10 keeps one mask under about 128 KiB
+_MAX_INNER = 2 ** 10
 
 
 class ParseError(ValueError):
@@ -180,6 +183,8 @@ def network_family_from_json(payload: Any) -> NetworkFamily:
         raise ParseError("network instance needs 'inner' and 'sets'")
     if not isinstance(payload["inner"], list) or not isinstance(payload["sets"], list):
         raise ParseError("network instance 'inner' and 'sets' must be lists")
+    if len(payload["inner"]) > _MAX_INNER:
+        raise ParseError(f"a network may hold at most {_MAX_INNER} inner vertices")
     inner = tuple(vertex_from_json(v) for v in payload["inner"])
     sets = []
     for idx, raw in enumerate(payload["sets"], start=1):

@@ -6,17 +6,21 @@ grown by repeated augmentation: build the network over the current
 matching, search for a rainbow source-target path and augment along it;
 when no such path exists the family is regimented and one of the local
 exchange steps applies (representation swap, direct addition, cycle
-exchange, or augment-then-rectify).  Every step is one _exchange, each
-arc it uses read back as its member's least edge on it (_witness).  There
-is no other route to an answer: a construction that stalls is reported as
-a ViolationReport, with the brute-force oracle's size beside the reason.
+exchange, walk, or walk-and-rectify).  Each step only describes its move:
+the edges it drops, the (member, edge) pairs it adds and its trail event,
+each arc it uses read back as its member's least edge on it (_witness).
+The round (_constructive) applies the move as one _exchange, checks that
+a swap keeps the size and every other step adds one edge, and logs it.
+There is no other route to an answer: a construction that stalls is
+reported as a ViolationReport, with the brute-force oracle's size beside
+the reason.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (Edge, EdgeFamily, RainbowMatching, _require_ints,
                    cooperative_condition, is_valid_rainbow, max_matching,
@@ -52,42 +56,24 @@ class ConstructiveStall(RuntimeError):
     solve_main reports it as a ViolationReport."""
 
 
-class RepresentationClash(ValueError):
-    """Two edges would represent the same member.
-
-    Carries the raw (member, edge) pairs of the refused candidate, so the
-    caller can repair it with a further exchange.
-    """
-
-    def __init__(self, member: int, pairs: Sequence[tuple[int, Edge]]):
-        super().__init__(f"member {member} would be represented twice")
-        self.member = member
-        self.pairs = tuple(pairs)
-
-
-def _exchange(pairs: Iterable[tuple[int, Edge]], drop: Iterable[Edge],
+def _exchange(rm: RainbowMatching, drop: Iterable[Edge],
               add: Iterable[tuple[int, Edge]]) -> RainbowMatching:
-    """The rainbow matching left when the edges in drop leave pairs and
-    the (member, edge) pairs in add join them.
+    """The rainbow matching left when the edges in drop leave rm and the
+    (member, edge) pairs in add join it.
 
     Every constructive move is one such exchange.  A member that would be
-    represented twice raises RepresentationClash, carrying the candidate
-    pairs; a result that is not a matching raises ValueError.
+    represented twice, or a result that is not a matching, raises
+    ValueError.
     """
     add = list(add)
     _require_ints([i for i, _ in add], "a member id")
     drop = set(drop)
-    out = sorted(p for p in pairs if p[1] not in drop) + add
+    out = sorted(p for p in rm.assignment.items() if p[1] not in drop) + add
     counts = Counter(i for i, _ in out)
     doubled = sorted(i for i, c in counts.items() if c > 1)
     if doubled:
-        raise RepresentationClash(doubled[0], out)
+        raise ValueError(f"member {doubled[0]} would be represented twice")
     return RainbowMatching(dict(out))
-
-
-def _log(trail: list | None, event: dict) -> None:
-    if trail is not None:
-        trail.append(event)
 
 
 def solve_main(fam: EdgeFamily, k: int, n: int, trail: list | None = None
@@ -101,6 +87,7 @@ def solve_main(fam: EdgeFamily, k: int, n: int, trail: list | None = None
     brute-force oracle's size.  trail, when given, collects an audit log of
     augmentations, swaps and rectifications.
     """
+    _require_ints((k, n), "a size parameter")
     if not 1 < k <= n:
         raise ValueError("parameters must satisfy 1 < k <= n")
     if len(fam) != 2 * n + k - 3:
@@ -124,6 +111,7 @@ def solve_main(fam: EdgeFamily, k: int, n: int, trail: list | None = None
 
 def _constructive(fam: EdgeFamily, k: int, n: int,
                   trail: list | None) -> RainbowMatching:
+    """Grow rm one move per round: apply it, check it, log it."""
     budget = 4 * n * len(fam)
     rm = RainbowMatching({})
     steps = 0
@@ -135,7 +123,7 @@ def _constructive(fam: EdgeFamily, k: int, n: int,
         found = path_or_certificate(nf)
         try:
             if isinstance(found, RainbowStPath):
-                nxt = _augment_via_path(fam, found, nf, rm, trail)
+                drop, add, event = _augment_via_path(fam, found, nf, rm)
             else:
                 if len(nf) != len(nf.network.inner) + k - 1:
                     raise ConstructiveStall(
@@ -143,14 +131,20 @@ def _constructive(fam: EdgeFamily, k: int, n: int,
                 if isinstance(found, TheoremViolation):
                     raise ConstructiveStall(
                         "neither rainbow path nor regimentation certificate")
-                nxt = _regimented_step(fam, n, rm, nf, found, trail)
+                drop, add, event = _regimented_step(fam, n, rm, nf, found)
+            nxt = _exchange(rm, drop, add)
         except ValueError as exc:
-            # the exchange refused the step, clash included
+            # the exchange refused the move: a doubled member or no matching
             raise ConstructiveStall(f"step refused: {exc}") from exc
-        if len(nxt) not in (len(rm), len(rm) + 1):
-            raise ConstructiveStall("a step broke the monotone size invariant")
+        # a swap trades one representation; every other move adds one edge
+        growth = 0 if event["op"] == "swap" else 1
+        if len(nxt) != len(rm) + growth:
+            raise ConstructiveStall(f"step {event['op']} changed the size by "
+                                    f"{len(nxt) - len(rm)}, not {growth}")
         if not is_valid_rainbow(fam, nxt):
             raise ConstructiveStall("a step produced an invalid rainbow matching")
+        if trail is not None:
+            trail.append({**event, "size": len(nxt)})
         rm = nxt
     if not is_valid_rainbow(fam, rm, size=n):
         raise ConstructiveStall("constructed matching failed re-verification")
@@ -181,18 +175,10 @@ def _witness(fam: EdgeFamily, i: int, arc, rm: RainbowMatching) -> Edge:
     return edge
 
 
-def _grown(rm: RainbowMatching, result: RainbowMatching) -> RainbowMatching:
-    """result, checked to be one edge larger than rm, as an augmentation is."""
-    if len(result) != len(rm) + 1:
-        raise ConstructiveStall("an augmentation did not grow the matching by one")
-    return result
-
-
-def _augment_via_path(fam: EdgeFamily, found, nf, rm: RainbowMatching,
-                      trail: list | None) -> RainbowMatching:
-    """Augment along a rainbow source-target path, each arc realized by
-    its member's least edge on it and each inner vertex, a matching edge,
-    dropped.
+def _augment_via_path(fam: EdgeFamily, found, nf, rm: RainbowMatching):
+    """The move (drop, add, event) that augments along a rainbow
+    source-target path: each arc realized by its member's least edge on it
+    and each inner vertex, a matching edge, dropped.
 
     New edges represent previously unrepresented members, so no clash is
     possible on this route.
@@ -200,12 +186,10 @@ def _augment_via_path(fam: EdgeFamily, found, nf, rm: RainbowMatching,
     arcs = found.path.arcs
     member_ids = [nf.origin[found.representation[j] - 1] for j in range(len(arcs))]
     edges = [_witness(fam, i, arc, rm) for i, arc in zip(member_ids, arcs)]
-    result = _grown(rm, _exchange(rm.assignment.items(), found.path.interior,
-                                  zip(member_ids, edges)))
-    _log(trail, {"op": "augment", "path": [list(v) if isinstance(v, tuple) else v
-                                           for v in found.path.vertices],
-                 "members": member_ids, "size": len(result)})
-    return result
+    return found.path.interior, list(zip(member_ids, edges)), {
+        "op": "augment", "path": [list(v) if isinstance(v, tuple) else v
+                                  for v in found.path.vertices],
+        "members": member_ids}
 
 
 def _certificate_pool(reg, nf, path_index: int) -> list[int]:
@@ -215,9 +199,9 @@ def _certificate_pool(reg, nf, path_index: int) -> list[int]:
                               if reg.assignment[p] == path_index)]
 
 
-def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg,
-                     trail: list | None) -> RainbowMatching:
-    """One local improvement step under a regimentation certificate."""
+def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg):
+    """The move (drop, add, event) of one local improvement step under a
+    regimentation certificate."""
     matched = rm.matching().edges
     represented_by = {e: i for i, e in rm.assignment.items()}
     matched_a = {e[0] for e in matched}
@@ -236,10 +220,8 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg,
         if f not in represented_by:
             raise ConstructiveStall(
                 "inessential member holds a non-matching edge unexpectedly")
-        result = _exchange(rm.assignment.items(), [f], [(s1, f)])
-        _log(trail, {"op": "swap", "edge": list(f), "freed": represented_by[f],
-                     "represents": s1, "size": len(result)})
-        return result
+        return [f], [(s1, f)], {"op": "swap", "edge": list(f),
+                                "freed": represented_by[f], "represents": s1}
 
     # least inessential arc that runs backward along a certificate path;
     # every inessential arc is backward when no rainbow path exists
@@ -267,10 +249,8 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg,
         # ax is directly addable
         direct = next((i for i in sorted(ie_ids) if ax in fam.member(i)), None)
         if direct is not None:
-            result = _exchange(rm.assignment.items(), [], [(direct, ax)])
-            _log(trail, {"op": "augment-direct", "edge": list(ax),
-                         "represents": direct, "size": len(result)})
-            return result
+            return [], [(direct, ax)], {"op": "augment-direct", "edge": list(ax),
+                                        "represents": direct}
         if ax not in fam.member(sp):
             raise ConstructiveStall("union matching edge escaped its members")
         # exchange the certificate-path run between the backward arc's ends,
@@ -278,11 +258,9 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg,
         pool = _certificate_pool(reg, nf, back_index)
         if len(bridges) > len(pool):
             raise ConstructiveStall("certificate lacks members for the exchange run")
-        result = _exchange(rm.assignment.items(), run,
-                           [(sp, ax), chord, *zip(pool, bridges)])
-        _log(trail, {"op": "augment-exchange", "edge": list(ax),
-                     "run": [list(e) for e in run], "size": len(result)})
-        return result
+        return run, [(sp, ax), chord, *zip(pool, bridges)], {
+            "op": "augment-exchange", "edge": list(ax),
+            "run": [list(e) for e in run]}
 
     # x is matched: walk from its matching edge to the target
     h = b_owner[x]
@@ -300,21 +278,19 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg,
     walk_ids = pool[:len(tail_arcs)]
     edges = [ax] + [_witness(fam, i, arc, rm)
                     for arc, i in zip(tail_arcs, walk_ids)]
-    try:
-        result = _grown(rm, _exchange(rm.assignment.items(), tail[:-1],
-                                      zip([sp] + walk_ids, edges)))
-        _log(trail, {"op": "augment", "edge": list(ax),
-                     "members": [sp] + walk_ids, "size": len(result)})
-        return result
-    except RepresentationClash as clash:
-        pool = [i for i in _certificate_pool(reg, nf, back_index)
-                if i not in set(walk_ids)]
-        if len(bridges) > len(pool):
-            raise ConstructiveStall("certificate lacks members for the repair cycle")
-        result = _exchange(clash.pairs, run, [chord, *zip(pool, bridges)])
-        _log(trail, {"op": "rectify", "doubled": clash.member,
-                     "run": [list(e) for e in run], "size": len(result)})
-        return result
+    walk = list(zip([sp] + walk_ids, edges))
+    if run[-1] in tail[:-1]:
+        # the walk drops sp's old edge, so sp is represented once
+        return tail[:-1], walk, {"op": "augment", "edge": list(ax),
+                                 "members": [sp] + walk_ids}
+    # sp keeps run[-1] beside ax: the cycle along the backward arc drops the
+    # run, sp's old edge with it, and closes it with the chord and bridges
+    pool = [i for i in _certificate_pool(reg, nf, back_index)
+            if i not in set(walk_ids)]
+    if len(bridges) > len(pool):
+        raise ConstructiveStall("certificate lacks members for the repair cycle")
+    return [*tail[:-1], *run], walk + [chord, *zip(pool, bridges)], {
+        "op": "rectify", "doubled": sp, "run": [list(e) for e in run]}
 
 
 @dataclass(frozen=True)
@@ -332,6 +308,7 @@ def verify_arrow_statement(m: int, k: int, n: int, q: int,
     """Check on one instance: if every k-union has matching number at least
     n, does a rainbow matching of size q exist?  The conclusion is settled
     by the brute-force oracle."""
+    _require_ints((m, k, n, q), "a size parameter")
     if len(fam) != m:
         raise ValueError(f"family size {len(fam)} does not match m = {m}")
     if any(not s for s in fam.sets):

@@ -188,9 +188,14 @@ def test_criterion_3_main_theorem_randomized():
                 if fam is None:
                     continue
                 collected += 1
-                out = solve_main(fam, k, n)
+                trail = []
+                out = solve_main(fam, k, n, trail=trail)
                 assert isinstance(out, RainbowMatching), (n, k, seed)
                 assert is_valid_rainbow(fam, out, size=n), (n, k, seed)
+                # a swap keeps the size, every other step adds one edge
+                sizes = [0] + [e["size"] for e in trail]
+                assert [b - a for a, b in zip(sizes, sizes[1:])] == [
+                    0 if e["op"] == "swap" else 1 for e in trail], (n, k, seed)
                 solved += 1
                 if oracle_checked < 50:  # 100 per (n, k) across both graphs
                     oracle_checked += 1

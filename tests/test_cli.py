@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from rainbowmatch import search, solver
 from rainbowmatch.cli import build_parser, main
-from rainbowmatch.serialize import family_from_json, family_loads
+from rainbowmatch.serialize import (family_from_json, family_loads,
+                                   load_instance)
 
 
 def run_cli(capsys, *argv):
@@ -335,9 +336,9 @@ def test_identical_runs_are_byte_identical(tmp_path, capsys, drisko2):
 
 def test_solve_reports_a_stalled_construction_with_exit_3(capsys, monkeypatch,
                                                           drisko2):
-    # a path step that never grows the matching stalls the construction
+    # a path step that swaps nothing stalls the construction
     monkeypatch.setattr(solver, "_augment_via_path",
-                        lambda fam, found, nf, rm, trail: rm)
+                        lambda fam, found, nf, rm: ((), (), {"op": "swap"}))
     code, out, err = run_cli(capsys, "solve", "--input", str(drisko2),
                              "--n", "2", "--k", "2")
     assert code == 3
@@ -432,6 +433,57 @@ def test_certify_above_the_search_bound_exits_65(tmp_path):
     assert proc.returncode == 65
     assert proc.stdout == ""
     assert "parameter mismatch" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# each instance runs one recursive kernel past Python's recursion limit
+_DEEP = {
+    # 1,200 members: the rainbow oracle recurses once per member
+    "rainbow-walk": ({"left": 2, "right": 2,
+                      "sets": [[[1, 1]]] * 1199 + [[[2, 2]]]},
+                     ("--m", "1200", "--k", "1", "--n", "1", "--q", "2")),
+    # a 1,500-vertex chain: one Kuhn augmenting path runs along all of it
+    "kuhn": ({"left": 1500, "right": 1500,
+              "sets": [[[i, i] for i in range(1, 1500)]
+                       + [[i, i + 1] for i in range(1, 1500)]
+                       + [[1500, 1]]] * 3},
+             ("--m", "3", "--k", "1", "--n", "1500", "--q", "1")),
+    # k = 1,100: the hypothesis walk recurses once per member of a k-set
+    "union-walk": ({"left": 1, "right": 1, "sets": [[[1, 1]]] * 1200},
+                   ("--m", "1200", "--k", "1100", "--n", "5", "--q", "1")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEEP))
+def test_check_past_the_recursion_limit_exits_65(tmp_path, kind):
+    instance, argv = _DEEP[kind]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    proc = _run_module("check", "--input", str(path), *argv)
+    assert proc.returncode == 65
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "maximum recursion depth exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_network_inner_vertex_cap(tmp_path):
+    # a member mask holds about |V|**2 bits: 2**10 inner vertices load,
+    # one more is refused before any mask is built
+    def network(count):
+        inner = [f"v{i}" for i in range(count)]
+        return {"inner": inner, "sets": [[[inner[-1], "t"]]]}
+
+    assert len(load_instance(json.dumps(network(1024))).network.inner) == 1024
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(network(1025)))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_CERTIFICATE))
+    proc = _run_module("certify", "--input", str(netfile),
+                       "--regimentation", str(cert))
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert "at most 1024 inner vertices" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch import (BipartiteGraph, EdgeFamily, Matching,
-                          RainbowMatching, cooperative_condition,
-                          is_valid_rainbow, matching_number, max_matching,
-                          rainbow_matching_max)
+                          RainbowMatching, conjecture_search,
+                          cooperative_condition, is_valid_rainbow,
+                          matching_number, max_matching,
+                          rainbow_matching_max, solve_main,
+                          verify_arrow_statement)
+from rainbowmatch.generators import (drisko_family, random_cooperative_family,
+                                     sharpness_family, staircase_family)
 from rainbowmatch.search import doubled_family
 
 from .helpers import (brute_matching_number, brute_rainbow_number,
@@ -24,6 +28,37 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         BipartiteGraph(2, 2, frozenset({(3, 1)}))
     assert len(BipartiteGraph.complete(3, 2).edges) == 6
+
+
+def _fam22():
+    return family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BipartiteGraph(True, 2, frozenset({(1, 1)})),
+    lambda: BipartiteGraph(2.0, 2),
+    lambda: BipartiteGraph.complete(2, 2.0),
+    lambda: solve_main(_fam22(), 2, 2.0),
+    lambda: cooperative_condition(_fam22(), 2, True),
+    lambda: verify_arrow_statement(3.0, True, 1, 1, _fam22()),
+    lambda: sharpness_family(2, 2.0),
+    lambda: drisko_family(True),
+    lambda: staircase_family(2.0),
+    lambda: random_cooperative_family(2, True, K22),
+    lambda: conjecture_search("c4.1", k=True, budget=4),
+    lambda: conjecture_search("c4.1", k=2, budget=4.0),
+    lambda: random_cooperative_family(2, 2, K22, density=1.7),
+    lambda: random_cooperative_family(2, 2, K22, density=-0.1),
+    lambda: random_cooperative_family(2, 2, K22, density=True),
+], ids=["bool-side", "float-side", "float-complete-side", "float-solve-n",
+        "bool-condition-n", "float-arrow-m", "float-sharpness-k",
+        "bool-drisko-n", "float-staircase-k", "bool-random-k",
+        "bool-search-k", "float-search-budget", "density-above-1",
+        "density-below-0", "bool-density"])
+def test_size_parameters_refuse_floats_and_bools(call):
+    # each was coerced or clamped: True read as 1, 2.0 failed later
+    with pytest.raises(ValueError, match="must be an int|density must lie"):
+        call()
 
 
 def test_matching_rejects_shared_vertices():

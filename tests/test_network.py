@@ -8,8 +8,8 @@ from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, Network,
                           NetworkFamily, RainbowMatching, RainbowStPath,
                           StPath, build_network, has_st_path)
 from rainbowmatch.network import _rank_paths
-from rainbowmatch.solver import (ConstructiveStall, RepresentationClash,
-                                 _augment_via_path, _exchange, _witness)
+from rainbowmatch.solver import (ConstructiveStall, _augment_via_path,
+                                 _exchange, _witness)
 
 from rainbowmatch.generators import random_cooperative_family
 
@@ -72,6 +72,9 @@ def test_network_surface_has_one_source_and_target():
     # the network layer stops at arcs: the solver reads edges and exchanges
     for gone in ("_Preimages", "_least_witness", "_exchange", "RepresentationClash"):
         assert not hasattr(rainbowmatch.network, gone)
+    # a step returns its move and the round applies it: no clash payload
+    for gone in ("RepresentationClash", "_grown", "_log"):
+        assert not hasattr(rainbowmatch.solver, gone)
     for gone in ("contract_source_edge", "uncontract_path", "st_paths",
                  "check_exchange_lemma", "is_st_path", "AlternatingPath",
                  "alternating_from_edges", "path_to_alternating",
@@ -159,10 +162,9 @@ def _translated(fam, graph, rm, path, rep):
     p = StPath(path)
     edges = [_witness(fam, nf.origin[rep[j] - 1], arc, rm)
              for j, arc in enumerate(p.arcs)]
-    trail = []
-    out = _augment_via_path(fam, RainbowStPath(p, rep), nf, rm, trail)
-    assert trail[-1]["members"] == [nf.origin[rep[j] - 1] for j in sorted(rep)]
-    return edges, out
+    drop, add, event = _augment_via_path(fam, RainbowStPath(p, rep), nf, rm)
+    assert event["members"] == [nf.origin[rep[j] - 1] for j in sorted(rep)]
+    return edges, _exchange(rm, drop, add)
 
 
 def test_path_to_alternating_translation():
@@ -204,8 +206,8 @@ def test_path_to_alternating_least_preimage():
 def test_path_to_alternating_rejects_bad_rep():
     fam = family_on(K22, {(1, 1)}, {(2, 1)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1)})
-    with pytest.raises(RepresentationClash):  # member reused
-        _exchange(rm.assignment.items(), [(1, 1)], [(2, (2, 1)), (2, (1, 2))])
+    with pytest.raises(ValueError, match="member 2 would be represented twice"):
+        _exchange(rm, [(1, 1)], [(2, (2, 1)), (2, (1, 2))])  # member reused
     with pytest.raises(ConstructiveStall):
         _witness(fam, 3, ("s", (1, 1)), rm)  # wrong owner: no preimage
 
@@ -213,47 +215,46 @@ def test_path_to_alternating_rejects_bad_rep():
 def test_augment_examples():
     # augmenting is the exchange that drops the path's matched links
     rm = RainbowMatching({1: (1, 1)})
-    out = _exchange(rm.assignment.items(), [(1, 1)], [(2, (2, 1)), (3, (1, 2))])
+    out = _exchange(rm, [(1, 1)], [(2, (2, 1)), (3, (1, 2))])
     assert out.matching().edges == {(2, 1), (1, 2)}
     assert out.assignment == {2: (2, 1), 3: (1, 2)}
 
-    single = _exchange((), (), [(1, (1, 1))])
+    single = _exchange(RainbowMatching({}), (), [(1, (1, 1))])
     assert len(single) == 1
     with pytest.raises(ValueError):  # (1, 1) kept: the result is no matching
-        _exchange(rm.assignment.items(), [], [(2, (2, 1)), (3, (1, 2))])
+        _exchange(rm, [], [(2, (2, 1)), (3, (1, 2))])
 
 
-def test_augment_clash_carries_pairs():
+def test_augment_clash_names_the_member():
     # member 5's edge survives the toggle, and the path tries to reuse member 5
     rm = RainbowMatching({1: (1, 1), 5: (3, 3)})
-    with pytest.raises(RepresentationClash) as caught:
-        _exchange(rm.assignment.items(), [(1, 1)], [(2, (2, 1)), (5, (1, 2))])
-    assert caught.value.member == 5
-    assert ((5, (3, 3)) in caught.value.pairs) and ((5, (1, 2)) in caught.value.pairs)
+    with pytest.raises(ValueError, match="member 5 would be represented twice"):
+        _exchange(rm, [(1, 1)], [(2, (2, 1)), (5, (1, 2))])
 
 
 def test_rectify_double_representation():
-    # candidate: member 7 doubled via (3,3) and (5,4); repair along the run
-    pairs = [(7, (3, 3)), (2, (1, 1)), (3, (2, 2)), (7, (5, 4)), (4, (4, 5))]
+    # member 7 moves from (3,3) to (5,4) while the run through (3,3) is
+    # exchanged: one move, one edge more
+    rm = RainbowMatching({7: (3, 3), 2: (1, 1), 3: (2, 2), 4: (4, 5)})
     run = ((1, 1), (2, 2), (3, 3))
-    out = _exchange(pairs, run, [(9, (3, 1)), (10, (1, 2)), (11, (2, 3))])
+    out = _exchange(rm, run, [(7, (5, 4)), (9, (3, 1)), (10, (1, 2)),
+                              (11, (2, 3))])
     assert out.assignment == {7: (5, 4), 9: (3, 1), 10: (1, 2), 11: (2, 3),
                               4: (4, 5)}
-    assert len(out) == len(pairs)
+    assert len(out) == len(rm) + 1
 
 
 def test_rectify_shortest_cycle_swaps_two_edges():
-    pairs = [(1, (1, 1)), (2, (2, 2)), (1, (3, 4))]
-    out = _exchange(pairs, ((1, 1), (2, 2)), [(5, (2, 1)), (6, (1, 2))])
+    rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
+    out = _exchange(rm, ((1, 1), (2, 2)), [(1, (3, 4)), (5, (2, 1)), (6, (1, 2))])
     assert out.assignment == {1: (3, 4), 5: (2, 1), 6: (1, 2)}
 
 
 def test_rectify_requires_double_representation():
     # the run must hold the doubled member's other copy
-    pairs = [(1, (1, 1)), (2, (2, 2)), (1, (3, 4)), (3, (3, 3))]
-    with pytest.raises(RepresentationClash) as caught:
-        _exchange(pairs, ((2, 2), (3, 3)), [(5, (3, 2)), (6, (2, 3))])
-    assert caught.value.member == 1
+    rm = RainbowMatching({1: (1, 1), 2: (2, 2), 3: (3, 3)})
+    with pytest.raises(ValueError, match="member 1 would be represented twice"):
+        _exchange(rm, ((2, 2), (3, 3)), [(1, (3, 4)), (5, (3, 2)), (6, (2, 3))])
 
 
 def test_round_trip_path_existence():

@@ -83,8 +83,8 @@ def test_verifier_refuses_vertices_outside_the_network():
 @pytest.mark.parametrize("build", [
     lambda: Regimentation((StPath(("s", "v", "t")),), {True: 0.9, 2.7: 0}),
     lambda: RainbowStPath(StPath(("s", "v", "t")), {0.5: 1, True: 2.9}),
-    lambda: _exchange((), (), [(True, (1, 1))]),
-    lambda: _exchange((), (), [(1.0, (1, 1))]),
+    lambda: _exchange(RainbowMatching({}), (), [(True, (1, 1))]),
+    lambda: _exchange(RainbowMatching({}), (), [(1.0, (1, 1))]),
     lambda: RainbowMatching({True: (1, 2)}),
     lambda: RainbowMatching({1: (1.9, 2)}),
     lambda: BipartiteGraph(2, 2, {(1.5, True)}),

@@ -10,7 +10,7 @@ from rainbowmatch import (BipartiteGraph, EdgeFamily, HypothesisFailure,
                           verify_arrow_statement)
 from rainbowmatch.generators import random_cooperative_family, sharpness_family
 from rainbowmatch import solver
-from rainbowmatch.solver import _regimented_step
+from rainbowmatch.solver import _exchange, _regimented_step
 from rainbowmatch.serialize import family_from_json
 
 from .helpers import brute_regimentation, family_on
@@ -49,10 +49,10 @@ def test_solve_main_parameter_errors():
 
 
 def _stall_every_path_step(monkeypatch):
-    # a path step that never grows the matching runs the loop into its
-    # budget of 4 * n * len(fam) steps
+    # a path step that swaps nothing passes the growth check and runs the
+    # loop into its budget of 4 * n * len(fam) steps
     monkeypatch.setattr(solver, "_augment_via_path",
-                        lambda fam, found, nf, rm, trail: rm)
+                        lambda fam, found, nf, rm: ((), (), {"op": "swap"}))
 
 
 def test_solve_main_stalls_past_its_iteration_budget(monkeypatch):
@@ -64,6 +64,19 @@ def test_solve_main_stalls_past_its_iteration_budget(monkeypatch):
     assert out.oracle_size == 2
     assert "iteration budget 24 exhausted" in out.detail
     assert "size 2 (>= n = 2)" in out.detail
+    assert trail == [{"op": "swap", "size": 0}] * 24
+
+
+def test_non_growing_augment_stalls_at_once(monkeypatch):
+    # an augment move must add exactly one edge: an empty one is refused
+    # in the round that makes it
+    monkeypatch.setattr(solver, "_augment_via_path",
+                        lambda fam, found, nf, rm: ((), (), {"op": "augment"}))
+    fam = family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
+    trail = []
+    out = solve_main(fam, 2, 2, trail=trail)
+    assert isinstance(out, ViolationReport)
+    assert "step augment changed the size by 0, not 1" in out.detail
     assert trail == []
 
 
@@ -133,9 +146,9 @@ def _reuse_member(monkeypatch):
     # let one member represent every new edge: the exchange refuses the clash
     real = solver._exchange
 
-    def reused(pairs, drop, add):
+    def reused(rm, drop, add):
         add = list(add)
-        return real(pairs, drop, [(add[0][0], edge) for _, edge in add])
+        return real(rm, drop, [(add[0][0], edge) for _, edge in add])
 
     monkeypatch.setattr(solver, "_exchange", reused)
 
@@ -164,9 +177,10 @@ def test_constructive_swap_step():
     assert is_valid_rainbow(fam, out, size=2)
     ops = [e["op"] for e in trail]
     assert "swap" in ops
-    # monotone loop invariant: sizes never decrease, augments add one
-    sizes = [e["size"] for e in trail]
-    assert all(b >= a for a, b in zip(sizes, sizes[1:]))
+    # growth contract: a swap keeps the size, every other step adds one
+    sizes = [0] + [e["size"] for e in trail]
+    assert [b - a for a, b in zip(sizes, sizes[1:])] == [
+        0 if e["op"] == "swap" else 1 for e in trail]
 
 
 def test_extremal_critical_round_at_scale():
@@ -225,9 +239,9 @@ def test_regimented_step_exchange_branch():
          {(3, 1), (1, 2), (2, 3)},
          {(2, 1)}],
         {1: (1, 1), 2: (2, 2)}, 3)
-    trail = []
-    out = _regimented_step(fam, 3, rm, nf, reg, trail)
-    assert trail[-1]["op"] == "augment-exchange"
+    drop, add, event = _regimented_step(fam, 3, rm, nf, reg)
+    out = _exchange(rm, drop, add)
+    assert event["op"] == "augment-exchange"
     assert out.assignment == {2: (3, 3), 3: (1, 2), 5: (2, 1)}
     assert is_valid_rainbow(fam, out, size=3)
 
@@ -243,17 +257,17 @@ def test_regimented_step_walk_without_clash():
          {(3, 1), (1, 2), (2, 3)},
          {(2, 1)}],
         {1: (1, 1), 2: (2, 2)}, 3)
-    trail = []
-    out = _regimented_step(fam, 3, rm, nf, reg, trail)
-    assert trail[-1]["op"] == "augment"
+    drop, add, event = _regimented_step(fam, 3, rm, nf, reg)
+    out = _exchange(rm, drop, add)
+    assert event["op"] == "augment"
     assert out.assignment == {2: (3, 1), 3: (1, 2), 4: (2, 3)}
     assert is_valid_rainbow(fam, out, size=3)
 
 
 def test_regimented_step_rectify_branch():
     # the offered edge lands on a matching edge covered by another
-    # certificate path, so the toggle doubles one member and the repair
-    # cycle along the backward arc restores injectivity
+    # certificate path, so the walk alone would double one member: the one
+    # move also exchanges the run along the backward arc
     g4 = BipartiteGraph.complete(4)
     spine = {(4, 1), (1, 2), (2, 4)}
     fam, rm, net, nf, reg = _state(
@@ -265,9 +279,9 @@ def test_regimented_step_rectify_branch():
          {(4, 3), (3, 4)},
          {(2, 1)}],
         {1: (1, 1), 2: (2, 2), 3: (3, 3)}, 4)
-    trail = []
-    out = _regimented_step(fam, 4, rm, nf, reg, trail)
-    assert trail[-1]["op"] == "rectify"
+    drop, add, event = _regimented_step(fam, 4, rm, nf, reg)
+    out = _exchange(rm, drop, add)
+    assert event["op"] == "rectify"
     assert out.assignment == {2: (4, 3), 4: (1, 2), 6: (3, 4), 7: (2, 1)}
     assert is_valid_rainbow(fam, out, size=4)
 
@@ -285,9 +299,9 @@ def test_regimented_step_direct_branch():
     net, nf = build_network(fam, rm)
     reg = brute_regimentation(net, nf)
     assert reg is not None
-    trail = []
-    out = _regimented_step(fam, 3, rm, nf, reg, trail)
-    assert trail[-1]["op"] == "augment-direct"
+    drop, add, event = _regimented_step(fam, 3, rm, nf, reg)
+    out = _exchange(rm, drop, add)
+    assert event["op"] == "augment-direct"
     assert out.assignment == {1: (1, 1), 2: (2, 2), 5: (3, 3)}
     assert is_valid_rainbow(fam, out, size=3)
 
