@@ -7,9 +7,9 @@ cooperative theorem, reproducible instance generators, and a
 counterexample-search harness.
 """
 
-from .core import (BipartiteGraph, Edge, EdgeFamily, Matching,
-                   RainbowMatching, cooperative_condition, is_valid_rainbow,
-                   matching_number, max_matching, rainbow_matching_max)
+from .core import (BipartiteGraph, Edge, EdgeFamily, RainbowMatching,
+                   cooperative_condition, is_valid_rainbow, matching_number,
+                   max_matching, rainbow_matching_max)
 from .network import (SOURCE, TARGET, Network, NetworkFamily, StPath,
                       build_network, has_st_path)
 from .paths import (GreedyStuck, RainbowStPath, exhaustive_rainbow_path,
@@ -29,7 +29,7 @@ from .rng import SplitMix64
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteGraph", "Edge", "EdgeFamily", "Matching", "RainbowMatching",
+    "BipartiteGraph", "Edge", "EdgeFamily", "RainbowMatching",
     "cooperative_condition", "is_valid_rainbow", "matching_number",
     "max_matching", "rainbow_matching_max",
     "SOURCE", "TARGET", "Network", "NetworkFamily", "StPath",

@@ -61,27 +61,6 @@ class BipartiteGraph:
 
 
 @dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges."""
-
-    edges: frozenset[Edge] = frozenset()
-
-    def __post_init__(self) -> None:
-        edges = frozenset(_as_edge(e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        seen_a: set[int] = set()
-        seen_b: set[int] = set()
-        for a, b in edges:
-            if a in seen_a or b in seen_b:
-                raise ValueError("matching edges share a vertex")
-            seen_a.add(a)
-            seen_b.add(b)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
 class EdgeFamily:
     """Ordered multiset of edge sets over a fixed ambient graph."""
 
@@ -138,16 +117,20 @@ class RainbowMatching:
         assignment = {i: _as_edge(e) for i, e in dict(self.assignment).items()}
         _require_ints(assignment, "a member")
         object.__setattr__(self, "assignment", assignment)
-        edges = list(assignment.values())
-        if len(set(edges)) != len(edges):
+        edges = set(assignment.values())
+        if len(edges) != len(assignment):
             raise ValueError("two members are assigned the same edge")
-        Matching(frozenset(edges))  # raises when the image is not a matching
+        if len({a for a, _ in edges}) != len(edges) \
+                or len({b for _, b in edges}) != len(edges):
+            raise ValueError("matching edges share a vertex")
 
     def __len__(self) -> int:
         return len(self.assignment)
 
-    def matching(self) -> Matching:
-        return Matching(frozenset(self.assignment.values()))
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The matching: the assigned edges."""
+        return frozenset(self.assignment.values())
 
 
 def is_valid_rainbow(fam: EdgeFamily, rm: RainbowMatching,
@@ -291,8 +274,9 @@ def _nu(g: BipartiteGraph, edges: Iterable[Edge]) -> int:
 
 
 def max_matching(g: BipartiteGraph,
-                 edge_subset: Iterable[Edge] | None = None) -> Matching:
-    """Maximum-cardinality matching inside edge_subset (default: all edges).
+                 edge_subset: Iterable[Edge] | None = None) -> frozenset[Edge]:
+    """Edges of a maximum-cardinality matching inside edge_subset (default:
+    all edges).
 
     Runs the Kuhn kernel from the empty matching, scanning A-vertices in
     ascending order and B-vertices lowest first, so the result is
@@ -300,7 +284,7 @@ def max_matching(g: BipartiteGraph,
     """
     owner = [0] * (g.right_size + 1)
     _kuhn(_rows(g, _checked(g, edge_subset)), owner, 0, g.left_size)
-    return Matching(frozenset((a, b) for b, a in enumerate(owner) if a))
+    return frozenset((a, b) for b, a in enumerate(owner) if a)
 
 
 def matching_number(g: BipartiteGraph,

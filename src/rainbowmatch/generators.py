@@ -11,6 +11,9 @@ from .core import (BipartiteGraph, EdgeFamily, _edge_table, _require_ints,
                    cooperative_condition)
 from .rng import SplitMix64
 
+# draws random_cooperative_family makes before it gives up
+_ATTEMPTS = 200
+
 
 def sharpness_family(n: int, k: int) -> tuple[BipartiteGraph, EdgeFamily]:
     """The 2n+k-4 member family on K_{n,n} witnessing that the member count
@@ -93,17 +96,17 @@ def random_family(graph: BipartiteGraph, members: int, rng: SplitMix64,
 
 
 def random_cooperative_family(n: int, k: int, graph: BipartiteGraph,
-                              seed: int = 0, attempts: int = 200,
+                              seed: int = 0,
                               density: float = 0.6) -> EdgeFamily | None:
     """Rejection-sample a family of 2n+k-3 nonempty edge subsets whose
-    every k-union has matching number at least n; None when the attempt
-    budget runs out.  Deterministic per seed."""
+    every k-union has matching number at least n; None when all _ATTEMPTS
+    draws fail.  Deterministic per seed."""
     _require_ints((n, k), "a size parameter")
     if type(density) is bool or not 0 <= density <= 1:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
     rng = SplitMix64(seed)
     permille = round(density * 1000)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         fam = random_family(graph, 2 * n + k - 3, rng, permille)
         if cooperative_condition(fam, k, n) is None:
             return fam

@@ -16,7 +16,7 @@ mask; the tuple and frozenset views are built only where callers ask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -113,14 +113,6 @@ class Network:
     def sorted_arcs(self, arcs: Iterable | None = None) -> list:
         pool = self.arcs if arcs is None else arcs
         return sorted(pool, key=self.arc_key)
-
-    def _mask_over(self, arcs: Iterable) -> int:
-        """Mask of any arcs between network vertices, network arcs or not."""
-        size = self._size
-        mask = 0
-        for u, v in arcs:
-            mask |= 1 << (self.rank(u) * size + self.rank(v))
-        return mask
 
     def _arcs_of(self, mask: int) -> frozenset:
         return frozenset(arc for arc, bit in self._bit.items() if mask & bit)
@@ -224,9 +216,9 @@ class NetworkFamily:
     """Ordered multiset of arc sets over a shared network.
 
     masks holds one arc mask per member; sets is the frozenset view,
-    built on first use for families not given as sets.  origin maps member
-    positions (1-based) to edge-family indices for families from
-    build_network; it is None for families built from arc sets or masks.
+    built from the masks on first use.  origin maps member positions
+    (1-based) to edge-family indices for families from build_network; it
+    is None for families built from arc sets or masks.
     Every public function taking a network with a family refuses
     (ValueError) a network that is neither the family's nor equal to it.
     """
@@ -243,8 +235,7 @@ class NetworkFamily:
             idx = next(i for i, s in enumerate(sets, start=1)
                        if not s <= network.arcs)
             raise ValueError(f"member {idx} uses arcs outside the network") from None
-        self.__dict__.update(network=network, masks=masks, origin=None,
-                             _sets=sets)
+        self.__dict__.update(network=network, masks=masks, origin=None)
 
     @classmethod
     def from_masks(cls, network: Network, masks: Iterable[int]) -> "NetworkFamily":
@@ -267,16 +258,12 @@ class NetworkFamily:
               origin: tuple | None) -> "NetworkFamily":
         """A family over masks of network arcs, unchecked."""
         nf = object.__new__(cls)
-        nf.__dict__.update(network=network, masks=masks, origin=origin,
-                           _sets=None)
+        nf.__dict__.update(network=network, masks=masks, origin=origin)
         return nf
 
-    @property
+    @cached_property
     def sets(self) -> tuple:
-        if self._sets is None:
-            self.__dict__["_sets"] = tuple(self.network._arcs_of(m)
-                                           for m in self.masks)
-        return self._sets
+        return tuple(self.network._arcs_of(m) for m in self.masks)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -323,7 +310,7 @@ def build_network(fam: EdgeFamily,
     """
     if not is_valid_rainbow(fam, rm):
         raise ValueError("not a valid rainbow matching of the family")
-    inner = tuple(sorted(rm.matching().edges))
+    inner = tuple(sorted(rm.edges))
     size = len(inner) + 2
     # edge (a, b) becomes bit a_row[a] + b_rank[b]: unmatched A-vertices
     # sit at the source's row, unmatched B-vertices at the target's column

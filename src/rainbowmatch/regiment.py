@@ -42,16 +42,19 @@ class Regimentation:
         object.__setattr__(self, "assignment", assignment)
 
 
-def _backward_arcs(net: Network, q: StPath) -> frozenset:
-    """Arcs of the network joining two path vertices against q's direction."""
-    pos = {v: i for i, v in enumerate(q.vertices)}
-    return frozenset((u, v) for (u, v) in net.arcs
-                     if u in pos and v in pos and pos[v] < pos[u])
+def _arc_mask(size: int, ranks) -> int:
+    """Mask of the arcs joining consecutive ranks: a path's own arcs."""
+    return sum(1 << (u * size + v) for u, v in zip(ranks, ranks[1:]))
 
 
-def _backward_masks(net: Network, paths) -> tuple[int, ...]:
-    """One mask per path: the network arcs backward along it."""
-    return tuple(net._mask_over(_backward_arcs(net, q)) for q in paths)
+def _backward_mask(net: Network, ranks) -> int:
+    """Mask of the network arcs joining two of the path ranks against the
+    path's direction."""
+    back = earlier = 0
+    for u in ranks:
+        back |= earlier << (u * net._size)
+        earlier |= 1 << u
+    return back & net._arc_mask
 
 
 def _least_backward_arc(nf, reg, positions) -> tuple | None:
@@ -60,7 +63,8 @@ def _least_backward_arc(nf, reg, positions) -> tuple | None:
     ascend in arc_key order, and no arc enters s or leaves t, so a backward
     arc lies inside exactly one of reg's paths."""
     net = nf.network
-    backs = _backward_masks(net, reg.paths)
+    ranks = [_path_ranks(net, q) for q in reg.paths]
+    backs = [_backward_mask(net, path) for path in ranks]
     every = reduce(or_, backs, 0)
     pos = next((p for p in sorted(positions) if nf.masks[p - 1] & every), None)
     if pos is None:
@@ -69,23 +73,22 @@ def _least_backward_arc(nf, reg, positions) -> tuple | None:
     bit &= -bit
     index = next(i for i, back in enumerate(backs) if back & bit)
     tail, head = divmod(bit.bit_length() - 1, net._size)
-    spots = [net.rank(v) for v in reg.paths[index].vertices]
-    return pos, index, spots.index(head), spots.index(tail)
+    return pos, index, ranks[index].index(head), ranks[index].index(tail)
 
 
-def _useless_arcs(net: Network, q: StPath) -> frozenset:
-    """Arcs from off-path inner vertices into q's second vertex, and from
-    q's second-to-last vertex out to off-path inner vertices.
+def _useless_mask(size: int, ranks) -> int:
+    """Arcs from off-path inner vertices into the path's second vertex, and
+    from its second-to-last vertex out to off-path inner vertices.
 
     This is the abstract set over the off-path vertices; it is not
     intersected with the arcs actually present, because callers use it as
     a containment mask.
     """
-    on_path = set(q.vertices)
-    off = [v for v in net.inner if v not in on_path]
-    s_q = q.vertices[1]
-    t_q = q.vertices[-2]
-    return frozenset({(v, s_q) for v in off} | {(t_q, u) for u in off})
+    into, out_of = ranks[1], ranks[-2]
+    mask = 0
+    for v in set(range(1, size - 1)).difference(ranks):
+        mask |= 1 << (v * size + into) | 1 << (out_of * size + v)
+    return mask
 
 
 def verify_regimentation(net: Network, nf: NetworkFamily,
@@ -101,28 +104,29 @@ def verify_regimentation(net: Network, nf: NetworkFamily,
     path carrying no members is legitimate cover.
     """
     net = _network_of(net, nf)
-    for q in r.paths:
-        if _path_ranks(net, q) is None:
-            return "paths"
-    interiors = [set(q.interior) for q in r.paths]
-    for i, j in itertools.combinations(range(len(r.paths)), 2):
-        if interiors[i] & interiors[j]:
+    size = net._size
+    ranks = [_path_ranks(net, q) for q in r.paths]
+    if None in ranks:
+        return "paths"
+    ends = 1 | 1 << (size - 1)
+    covered = 0
+    for path in ranks:
+        on_path = sum(1 << v for v in path)
+        if covered & on_path & ~ends:
             return "disjoint"
+        covered |= on_path
     for member, pos in r.assignment.items():
         if not 1 <= member <= len(nf) or not 0 <= pos < len(r.paths):
             return "assignment"
-    covered = set()
-    for q in r.paths:
-        covered.update(q.vertices)
-    if covered != set(net.vertices):
+    if covered != (1 << size) - 1:
         return "1"
-    needs = [net._mask_over(q.arcs) for q in r.paths]
+    needs = [_arc_mask(size, path) for path in ranks]
     for member, pos in r.assignment.items():
         if nf.masks[member - 1] & needs[pos] != needs[pos]:
             return "2"
     counts = Counter(r.assignment.values())
-    for pos, q in enumerate(r.paths):
-        if counts.get(pos, 0) != len(q.arcs) - 1:
+    for pos, path in enumerate(ranks):
+        if counts.get(pos, 0) != len(path) - 2:
             return "3"
     return None
 
@@ -205,18 +209,19 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily,
     essential = set(r.assignment)
     counting_ok = len(essential) == len(net.inner)
     masks, size = nf.masks, net._size
-    all_backward = reduce(or_, _backward_masks(net, r.paths), 0)
+    ranks = [_path_ranks(net, q) for q in r.paths]
+    all_backward = reduce(or_, (_backward_mask(net, path) for path in ranks), 0)
     backward_ok = not any(mask & ~all_backward
                           for i, mask in enumerate(masks, start=1)
                           if i not in essential)
-    for pos, q in enumerate(r.paths):
-        allowed = net._mask_over({*q.arcs, *_useless_arcs(net, q)}) | all_backward
+    for pos, path in enumerate(ranks):
+        allowed = _arc_mask(size, path) | _useless_mask(size, path) | all_backward
         for member, target in r.assignment.items():
             if target == pos and masks[member - 1] & ~allowed:
                 backward_ok = False
     only_path_ok = all(
         list(itertools.islice(_rank_paths(masks[member - 1], size), 2))
-        == [tuple(map(net.rank, r.paths[pos].vertices))]
+        == [tuple(ranks[pos])]
         for member, pos in r.assignment.items())
     essential_iff = all((i in essential) == _mask_has_path(mask, size)
                         for i, mask in enumerate(masks, start=1))

@@ -21,7 +21,7 @@ from typing import Any
 
 from .core import BipartiteGraph, Edge, EdgeFamily, RainbowMatching
 from .network import SOURCE, TARGET, Network, NetworkFamily, StPath
-from .regiment import Regimentation, _backward_arcs
+from .regiment import Regimentation, _backward_mask
 
 SCHEMA = "rainbow/1"
 
@@ -240,10 +240,13 @@ def matching_from_certificate(payload: Any) -> RainbowMatching:
         try:
             # unpacking refuses an edge of any other length than two
             a, b = entry["edge"]
-            assignment[_strict_int(entry["set"], "set")] = (
-                _strict_int(a, "edge endpoint"), _strict_int(b, "edge endpoint"))
+            member = _strict_int(entry["set"], "set")
+            edge = (_strict_int(a, "edge endpoint"), _strict_int(b, "edge endpoint"))
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed assignment entry: {entry!r}") from exc
+        if member in assignment:
+            raise CertificateError(f"member {member} appears twice")
+        assignment[member] = edge
     try:
         return RainbowMatching(assignment)
     except ValueError as exc:
@@ -273,6 +276,9 @@ def regimentation_from_certificate(payload: Any) -> Regimentation:
     if not isinstance(payload["paths"], list) or not isinstance(payload["assignment"], dict):
         raise CertificateError("regimentation certificate needs a list of 'paths' "
                                "and an object as 'assignment'")
+    for raw in payload["paths"]:
+        if not isinstance(raw, list):
+            raise CertificateError(f"a path must be a list of vertices, got {raw!r}")
     try:
         paths = tuple(StPath(tuple(vertex_from_json(v) for v in raw))
                       for raw in payload["paths"])
@@ -304,10 +310,13 @@ def _dot_label(v) -> str:
 def network_dot(net: Network, regimentation: Regimentation | None = None) -> str:
     """Graphviz rendering; inner vertices are labeled by their matching
     edges, and arcs running backward along a certificate path are dashed."""
-    backward = set()
+    backward = 0
     if regimentation is not None:
+        # the certificate is not verified here: vertices the network lacks
+        # are skipped, and arcs among the others are still marked
         for q in regimentation.paths:
-            backward |= _backward_arcs(net, q)
+            backward |= _backward_mask(
+                net, [net._ranks[v] for v in q.vertices if v in net._ranks])
     lines = ["digraph network {", "  rankdir=LR;"]
     lines.append('  s [shape=circle, label="s"];')
     for v in net.inner:
@@ -315,7 +324,7 @@ def network_dot(net: Network, regimentation: Regimentation | None = None) -> str
     lines.append('  t [shape=circle, label="t"];')
     for u, v in net.sorted_arcs():
         attrs = ""
-        if (u, v) in backward:
+        if net._bit[(u, v)] & backward:
             attrs = ' [style=dashed, color=crimson, xlabel="backward"]'
         lines.append(f"  {_dot_id(u)} -> {_dot_id(v)}{attrs};")
     lines.append("}")

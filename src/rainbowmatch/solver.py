@@ -202,7 +202,7 @@ def _certificate_pool(reg, nf, path_index: int) -> list[int]:
 def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg):
     """The move (drop, add, event) of one local improvement step under a
     regimentation certificate."""
-    matched = rm.matching().edges
+    matched = rm.edges
     represented_by = {e: i for i, e in rm.assignment.items()}
     matched_a = {e[0] for e in matched}
     b_owner = {e[1]: e for e in matched}
@@ -240,7 +240,7 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg):
     big = max_matching(fam.graph, fam.union(union_ids))
     if len(big) < n:
         raise ConstructiveStall("cooperative condition broke mid-loop")
-    ax = min((e for e in big.edges if e[0] not in matched_a), default=None)
+    ax = min((e for e in big if e[0] not in matched_a), default=None)
     if ax is None:
         raise ConstructiveStall("no unmatched-endpoint edge in the union matching")
     a, x = ax

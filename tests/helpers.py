@@ -9,6 +9,7 @@ against a different route.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, Edge, EdgeFamily,
                           GreedyStuck, Network, NetworkFamily, RainbowMatching,
@@ -214,6 +215,66 @@ def brute_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None
 
 # -- tuple and set based network references ---------------------------------
 
+def label_mask(net: Network, arcs) -> int:
+    """Mask of arcs named by their end vertices, network arcs or not: arc
+    (u, v) is bit index(u) * |V| + index(v) in net.vertices order."""
+    verts = list(net.vertices)
+    return sum(1 << (verts.index(u) * len(verts) + verts.index(v))
+               for u, v in set(arcs))
+
+
+def naive_backward_arcs(net: Network, q: StPath) -> frozenset:
+    """Arcs of the network joining two path vertices against q's direction."""
+    pos = {v: i for i, v in enumerate(q.vertices)}
+    return frozenset((u, v) for (u, v) in net.arcs
+                     if u in pos and v in pos and pos[v] < pos[u])
+
+
+def naive_useless_arcs(net: Network, q: StPath) -> frozenset:
+    """Arcs from off-path inner vertices into q's second vertex, and from
+    q's second-to-last vertex out to off-path inner vertices, present in
+    the network or not."""
+    on_path = set(q.vertices)
+    off = [v for v in net.inner if v not in on_path]
+    s_q = q.vertices[1]
+    t_q = q.vertices[-2]
+    return frozenset({(v, s_q) for v in off} | {(t_q, u) for u in off})
+
+
+def naive_verify_regimentation(net: Network, nf: NetworkFamily,
+                               r: Regimentation) -> str | None:
+    """Reference for verify_regimentation's verdict on label sets: the
+    first of "paths", "disjoint", "assignment", "1", "2", "3" violated,
+    or None."""
+    for q in r.paths:
+        verts = q.vertices
+        if verts[0] != SOURCE or verts[-1] != TARGET \
+                or len(set(verts)) != len(verts) \
+                or not set(verts) <= set(net.vertices):
+            return "paths"
+    interiors = [set(q.interior) for q in r.paths]
+    for i, j in itertools.combinations(range(len(r.paths)), 2):
+        if interiors[i] & interiors[j]:
+            return "disjoint"
+    for member, pos in r.assignment.items():
+        if not 1 <= member <= len(nf) or not 0 <= pos < len(r.paths):
+            return "assignment"
+    covered = set()
+    for q in r.paths:
+        covered.update(q.vertices)
+    if covered != set(net.vertices):
+        return "1"
+    needs = [label_mask(net, q.arcs) for q in r.paths]
+    for member, pos in r.assignment.items():
+        if nf.masks[member - 1] & needs[pos] != needs[pos]:
+            return "2"
+    counts = Counter(r.assignment.values())
+    for pos, q in enumerate(r.paths):
+        if counts.get(pos, 0) != len(q.arcs) - 1:
+            return "3"
+    return None
+
+
 def naive_least_backward_arc(net: Network, nf: NetworkFamily,
                              reg: Regimentation, ie_positions) -> tuple | None:
     """(position, path index, head spot, tail spot) of the first arc, over
@@ -239,7 +300,7 @@ def naive_least_backward_arc(net: Network, nf: NetworkFamily,
 def naive_build_network(fam: EdgeFamily, rm: RainbowMatching) -> tuple:
     """(inner, member arc sets, preimages, origin) of the network over rm's
     matching, with every graph-edge witness recorded per (member, arc)."""
-    matched = rm.matching().edges
+    matched = rm.edges
     a_owner = {e[0]: e for e in matched}
     b_owner = {e[1]: e for e in matched}
     origin = tuple(i for i in range(1, len(fam) + 1) if i not in rm.assignment)

@@ -315,6 +315,16 @@ def test_export_dot_marks_backward_arcs(tmp_path, capsys):
                               "--regimentation", str(reg))
     assert code == 0
     assert "e_2_2 -> e_1_1 [style=dashed" in marked
+    # export-dot does not verify the certificate: a vertex the network
+    # lacks is skipped, and the arcs among the others are still dashed
+    reg.write_text(json.dumps({
+        "schema": "rainbow/1",
+        "paths": [["s", [1, 1], "x", [2, 2], "t"]],
+        "assignment": {}}))
+    code, foreign, _ = run_cli(capsys, "export-dot", "--input", str(instance),
+                               "--matching", str(matching),
+                               "--regimentation", str(reg))
+    assert (code, foreign) == (0, marked)
 
 
 def test_export_dot_refuses_a_matching_edge_of_the_wrong_length(tmp_path,
@@ -327,6 +337,42 @@ def test_export_dot_refuses_a_matching_edge_of_the_wrong_length(tmp_path,
                                  "--matching", str(matching))
         assert (code, out) == (66, ""), edge
         assert "malformed certificate" in err
+
+
+def _export_dot_instance(tmp_path):
+    instance = tmp_path / "inst.json"
+    instance.write_text(json.dumps({"left": 2, "right": 2,
+                                    "sets": [[[1, 1], [2, 2]], [[1, 2]]]}))
+    return instance
+
+
+def test_export_dot_refuses_a_path_that_is_not_a_list(tmp_path, capsys):
+    # the string "st" was read as the path (s, t)
+    matching = tmp_path / "matching.json"
+    matching.write_text(json.dumps({"schema": "rainbow/1", "assignment": []}))
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"schema": "rainbow/1", "paths": ["st"],
+                               "assignment": {}}))
+    code, out, err = run_cli(capsys, "export-dot",
+                             "--input", str(_export_dot_instance(tmp_path)),
+                             "--matching", str(matching),
+                             "--regimentation", str(reg))
+    assert (code, out) == (66, "")
+    assert "a path must be a list of vertices" in err
+
+
+def test_export_dot_refuses_a_member_listed_twice(tmp_path, capsys):
+    # the matching was read as its last entry, {1: (2, 2)}
+    matching = tmp_path / "matching.json"
+    matching.write_text(json.dumps({
+        "schema": "rainbow/1", "assignment": [{"set": 1, "edge": [1, 1]},
+                                              {"set": 1, "edge": [2, 2]}]}))
+    code, out, err = run_cli(capsys, "export-dot",
+                             "--input", str(_export_dot_instance(tmp_path)),
+                             "--matching", str(matching))
+    assert (code, out) == (66, "")
+    assert err == "malformed certificate: member 1 appears twice\n"
+
 
 def test_identical_runs_are_byte_identical(tmp_path, capsys, drisko2):
     runs = [run_cli(capsys, "solve", "--input", str(drisko2),
@@ -403,6 +449,11 @@ def test_solve_refuses_non_integer_vertices(tmp_path, instance):
      {"paths": [["s", "v", "t"]], "assignment": [["1", 0]]}, 66),
     ({"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]] * 2},
      {"paths": [["s", "v", "t"]], "assignment": {"+1": 0}}, 66),
+    # a path that is not a JSON list was read as a vertex sequence
+    ({"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]},
+     {"paths": ["svt"], "assignment": {"1": 0}}, 66),
+    ({"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]},
+     {"paths": [{"s": 0, "v": 1, "t": 2}], "assignment": {"1": 0}}, 66),
 ])
 def test_certify_refuses_malformed_shapes(tmp_path, network, certificate,
                                           expected):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import (BipartiteGraph, EdgeFamily, Matching,
-                          RainbowMatching, conjecture_search,
+from rainbowmatch import (BipartiteGraph, EdgeFamily, RainbowMatching,
+                          conjecture_search,
                           cooperative_condition, is_valid_rainbow,
                           matching_number, max_matching,
                           rainbow_matching_max, solve_main,
@@ -62,11 +62,13 @@ def test_size_parameters_refuse_floats_and_bools(call):
 
 
 def test_matching_rejects_shared_vertices():
-    with pytest.raises(ValueError):
-        Matching(frozenset({(1, 1), (1, 2)}))
-    with pytest.raises(ValueError):
-        Matching(frozenset({(1, 1), (2, 1)}))
-    assert len(Matching(frozenset({(1, 1), (2, 2)}))) == 2
+    with pytest.raises(ValueError, match="matching edges share a vertex"):
+        RainbowMatching({1: (1, 1), 2: (1, 2)})
+    with pytest.raises(ValueError, match="matching edges share a vertex"):
+        RainbowMatching({1: (1, 1), 2: (2, 1)})
+    rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
+    assert len(rm) == 2
+    assert rm.edges == {(1, 1), (2, 2)}
 
 
 def test_family_members_are_positional():
@@ -121,7 +123,7 @@ def test_max_matching_edge_set_matches_reference(shape, rng):
     g = BipartiteGraph.complete(*shape)
     density = rng.random()
     edges = frozenset(e for e in sorted(g.edges) if rng.random() < density)
-    assert max_matching(g, edges).edges == dict_kuhn_matching(edges)
+    assert max_matching(g, edges) == dict_kuhn_matching(edges)
 
 
 @settings(max_examples=150, deadline=None)

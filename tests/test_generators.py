@@ -81,7 +81,7 @@ def test_random_cooperative_family():
     assert cooperative_condition(fam, 2, 2) is None
 
     # a size-3 matching cannot exist on K_{2,2}
-    assert random_cooperative_family(3, 2, g, seed=1, attempts=20) is None
+    assert random_cooperative_family(3, 2, g, seed=1) is None
 
 
 def test_random_family_refuses_an_edgeless_graph():

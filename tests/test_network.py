@@ -110,7 +110,7 @@ def test_network_family_from_masks_matches_the_set_built_family():
         assert by_masks == by_sets
         assert by_masks.origin is None
         assert by_masks.sets == sets
-    outside = net._mask_over([("u", "t")])
+    outside = 1 << (net.rank("u") * net._size + net.rank("t"))
     inside = by_sets.masks[0] if by_sets.masks else 0
     for bad in (True, 1.0, "1", None, -1, -2, outside, inside | outside):
         with pytest.raises(ValueError, match="member 2"):
@@ -189,7 +189,7 @@ def test_path_to_alternating_five_edges():
                              {0: 1, 1: 2, 2: 3})
     assert edges == [(3, 1), (1, 2), (2, 3)]
     # alternation: the new edges augment the matching
-    assert has_augmenting_path(edges, rm.matching().edges)
+    assert has_augmenting_path(edges, rm.edges)
     assert out.assignment == {3: (3, 1), 4: (1, 2), 5: (2, 3)}
 
 
@@ -216,7 +216,7 @@ def test_augment_examples():
     # augmenting is the exchange that drops the path's matched links
     rm = RainbowMatching({1: (1, 1)})
     out = _exchange(rm, [(1, 1)], [(2, (2, 1)), (3, (1, 2))])
-    assert out.matching().edges == {(2, 1), (1, 2)}
+    assert out.edges == {(2, 1), (1, 2)}
     assert out.assignment == {2: (2, 1), 3: (1, 2)}
 
     single = _exchange(RainbowMatching({}), (), [(1, (1, 1))])
@@ -284,7 +284,7 @@ def test_st_paths_enumeration_is_lexicographic():
                 ("s", "t")]
     # the order exhaustive_rainbow_path and find_regimentation rely on
     found = [net._path(ranks).vertices
-             for ranks in _rank_paths(net._mask_over(net.arcs), net._size)]
+             for ranks in _rank_paths(net._arc_mask, net._size)]
     assert found == expected
     assert [p.vertices for p in naive_st_paths(net.arcs, net)] == expected
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rainbowmatch import (BipartiteGraph, GreedyStuck, Matching, Network,
+from rainbowmatch import (BipartiteGraph, GreedyStuck, Network,
                           NetworkFamily, RainbowMatching, RainbowStPath,
                           Regimentation, SplitMix64, StPath,
                           TheoremViolation, UnionPathError,
@@ -89,12 +89,11 @@ def test_verifier_refuses_vertices_outside_the_network():
     lambda: RainbowMatching({1: (1.9, 2)}),
     lambda: BipartiteGraph(2, 2, {(1.5, True)}),
     lambda: BipartiteGraph(2, 2, {(1, True)}),
-    lambda: Matching({(2.0, 1)}),
     lambda: SplitMix64(2.7),
     lambda: SplitMix64(True),
 ], ids=["regimentation", "rainbow-path", "bool-member", "float-member",
         "bool-rainbow-member", "float-rainbow-edge", "float-graph-edge",
-        "bool-graph-edge", "float-matching-edge", "float-seed", "bool-seed"])
+        "bool-graph-edge", "float-seed", "bool-seed"])
 def test_constructors_refuse_non_int_indices(build):
     # int() would read each of these as another integer
     with pytest.raises(ValueError, match="must be an int"):

@@ -7,22 +7,25 @@ from rainbowmatch import (Network, NetworkFamily, Regimentation, StPath,
                           check_structure_lemmas, exhaustive_rainbow_path,
                           find_regimentation, verify_regimentation)
 
-from rainbowmatch.regiment import (_backward_arcs, _least_backward_arc,
-                                   _useless_arcs)
+from rainbowmatch.network import _path_ranks
+from rainbowmatch.regiment import (_backward_mask, _least_backward_arc,
+                                   _useless_mask)
 
 from .helpers import (abstract_family, all_arcs_over, brute_regimentation,
-                      naive_least_backward_arc, naive_st_paths)
+                      label_mask, naive_backward_arcs,
+                      naive_least_backward_arc, naive_st_paths,
+                      naive_useless_arcs, naive_verify_regimentation)
 
 
 def test_backward_arcs_examples():
     net = Network(inner=("y1", "y2"),
                   arcs={("s", "y1"), ("y1", "y2"), ("y2", "t"), ("y2", "y1")})
     q = StPath(("s", "y1", "y2", "t"))
-    assert _backward_arcs(net, q) == {("y2", "y1")}
-    assert _backward_arcs(net, StPath(("s", "t"))) == frozenset()
+    assert _backward_mask(net, _path_ranks(net, q)) == label_mask(net, {("y2", "y1")})
+    assert _backward_mask(net, _path_ranks(net, StPath(("s", "t")))) == 0
     forward_only = Network(inner=("y1", "y2"),
                            arcs={("s", "y1"), ("y1", "y2"), ("y2", "t")})
-    assert _backward_arcs(forward_only, q) == frozenset()
+    assert _backward_mask(forward_only, _path_ranks(forward_only, q)) == 0
 
 
 def _random_certified_family(rng):
@@ -72,17 +75,65 @@ def test_least_backward_arc_matches_naive_reference():
 
 
 def test_useless_arcs_examples():
+    def useless(net, q):
+        return _useless_mask(net._size, _path_ranks(net, q))
+
     net = Network(inner=("y1", "y2", "z"),
                   arcs={("s", "y1"), ("y1", "y2"), ("y2", "t")})
     q = StPath(("s", "y1", "y2", "t"))
-    assert _useless_arcs(net, q) == {("z", "y1"), ("y2", "z")}
+    assert useless(net, q) == label_mask(net, {("z", "y1"), ("y2", "z")})
 
     no_offpath = Network(inner=("y1", "y2"),
                          arcs={("s", "y1"), ("y1", "y2"), ("y2", "t")})
-    assert _useless_arcs(no_offpath, q) == frozenset()
+    assert useless(no_offpath, q) == 0
 
     single = Network(inner=("v", "z"), arcs={("s", "v"), ("v", "t")})
-    assert _useless_arcs(single, StPath(("s", "v", "t"))) == {("z", "v"), ("v", "z")}
+    assert useless(single, StPath(("s", "v", "t"))) == label_mask(
+        single, {("z", "v"), ("v", "z")})
+
+
+def _mutants(nf, reg):
+    """One broken copy of a verified certificate per verdict it should
+    draw: a foreign vertex, a shared interior vertex, an assignment past
+    the end, a dropped path, a member on the wrong path, and a missing
+    essential member."""
+    paths, assignment = list(reg.paths), dict(reg.assignment)
+    first = paths[0].vertices
+    yield Regimentation([StPath((*first[:-1], "x", "t")), *paths[1:]], assignment)
+    shared = next(q.interior[0] for q in paths if q.interior)
+    yield Regimentation([*paths, StPath(("s", shared, "t"))], assignment)
+    yield Regimentation(paths, {**assignment, len(nf) + 1: 0})
+    last = len(paths) - 1
+    yield Regimentation(paths[:-1], {m: p for m, p in assignment.items()
+                                     if p != last})
+    member = min(assignment)
+    yield Regimentation(paths, {**assignment,
+                                member: (assignment[member] + 1) % len(paths)})
+    yield Regimentation(paths, {m: p for m, p in assignment.items()
+                                if m != member})
+
+
+def test_rank_certificate_checks_match_label_set_references():
+    # verify_regimentation and the backward and useless masks read path
+    # ranks; the references read vertex labels and arc sets
+    rng = random.Random(1871)
+    verdicts = Counter()
+    for _ in range(500):
+        nf, reg = _random_certified_family(rng)
+        net = nf.network
+        for q in reg.paths:
+            ranks = _path_ranks(net, q)
+            assert _backward_mask(net, ranks) == label_mask(
+                net, naive_backward_arcs(net, q)), q
+            assert _useless_mask(net._size, ranks) == label_mask(
+                net, naive_useless_arcs(net, q)), q
+        for cert in (reg, *_mutants(nf, reg)):
+            verdict = verify_regimentation(net, nf, cert)
+            assert verdict == naive_verify_regimentation(net, nf, cert), (
+                nf.sets, cert)
+            verdicts[verdict] += 1
+    assert set(verdicts) == {None, "paths", "disjoint", "assignment",
+                             "1", "2", "3"}, verdicts
 
 
 def test_verify_regimentation_examples():
@@ -194,7 +245,7 @@ def _planted_family(rng, inner):
     back = []
     for block in blocks:
         q = StPath(("s", *block, "t"))
-        behind = sorted(_backward_arcs(net, q))
+        behind = sorted(naive_backward_arcs(net, q))
         back += behind
         for _ in range(len(q.arcs) - 1):
             members.append(set(q.arcs) | {a for a in behind if rng.random() < 0.3})
@@ -377,8 +428,8 @@ def test_only_path_pruning_property():
             on_q = set(q.vertices)
             disjoint = {(u, v) for (u, v) in arcs
                         if u not in on_q and v not in on_q}
-            allowed = (set(q.arcs) | _backward_arcs(net, q) | disjoint
-                       | _useless_arcs(net, q))
+            allowed = (set(q.arcs) | naive_backward_arcs(net, q) | disjoint
+                       | naive_useless_arcs(net, q))
             for p in paths:
                 if set(p.arcs) <= allowed:
                     assert p == q

@@ -195,6 +195,11 @@ def test_matching_certificate_round_trip():
     for assignment in (None, 5, {"1": [1, 1]}):
         with pytest.raises(CertificateError):
             matching_from_certificate({"assignment": assignment})
+    # a repeated member was cut down to its last entry
+    with pytest.raises(CertificateError, match="member 1 appears twice"):
+        matching_from_certificate(
+            {"assignment": [{"set": 1, "edge": [1, 1]},
+                            {"set": 1, "edge": [2, 2]}]})
 
 
 def test_regimentation_certificate_round_trip():
