@@ -141,8 +141,10 @@ def is_valid_rainbow(fam: EdgeFamily, rm: RainbowMatching,
     RainbowMatching constructor; this adds the family-membership half and
     an optional exact-size requirement.
     """
-    if size is not None and len(rm) != size:
-        return False
+    if size is not None:
+        _require_ints((size,), "a size parameter")
+        if len(rm) != size:
+            return False
     for i, e in rm.assignment.items():
         if not 1 <= i <= len(fam) or e not in fam.member(i):
             return False

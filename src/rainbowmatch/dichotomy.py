@@ -61,6 +61,10 @@ def dichotomy(net: Network, nf: NetworkFamily, k: int
     The two outcomes are not mutually exclusive; the path branch is tried
     first because it is the cheap, useful one.
     """
+    if type(k) is not int:
+        raise ValueError(f"a size parameter must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError("need k >= 1")
     net = _network_of(net, nf)
     m = len(nf)
     if m != len(net.inner) + k - 1:

@@ -1,16 +1,18 @@
 """Source-target networks over a rainbow matching.
 
 A network built over a matching has the matching's edges as inner
-vertices; each non-matching graph edge of a family member turns into an
-arc, and source-target paths correspond to augmenting alternating paths.
-The source and target are always SOURCE ("s") and TARGET ("t").  The
-module stops at arcs: an arc's ends already tell which graph edges lie
-on it, and the solver reads a member's edge back from them.
+vertices (a standalone network has string labels); each non-matching
+graph edge of a family member turns into an arc, and source-target paths
+correspond to augmenting alternating paths.  The source and target are
+always SOURCE ("s") and TARGET ("t").  The module stops at arcs: an
+arc's ends already tell which graph edges lie on it, and the solver
+reads a member's edge back from them.
 
 Inside, vertices are their ranks (source 0, inner vertices 1..r, target
 r + 1) and arc (u, v) is bit rank(u) * |V| + rank(v) of an integer mask,
-so ascending bits run in arc_key order.  A family member is one such
-mask; the tuple and frozenset views are built only where callers ask.
+so ascending bits run in arc_key order.  A network is its inner vertices
+plus the mask of its arcs, and a family member is one mask over them;
+the frozenset views of arcs are built only where callers ask.
 """
 
 from __future__ import annotations
@@ -20,46 +22,40 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator
 
-from .core import Edge, EdgeFamily, RainbowMatching, is_valid_rainbow
+from .core import EdgeFamily, RainbowMatching, is_valid_rainbow
 
 SOURCE = "s"
 TARGET = "t"
 
-# Inner vertices are matching edges when the network is built over one,
-# or plain string labels for standalone networks.
-Vertex = str | Edge
-Arc = tuple[Vertex, Vertex]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Network:
     """Digraph from SOURCE to TARGET through the inner vertices.
 
     No inner vertex is named SOURCE or TARGET, no arc enters the source,
     none leaves the target, and self-loops are rejected.  Vertex order
     (source, inner..., target) fixes the deterministic ranking used by
-    every search in the package, and with it each arc's bit (see the
-    module docstring).
+    every search in the package, and with it each arc's bit in mask (see
+    the module docstring); arcs is the view of mask built on first use.
     """
 
     inner: tuple
-    arcs: frozenset
+    mask: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.inner, str):
+    def __init__(self, inner, arcs) -> None:
+        if isinstance(inner, str):
             raise ValueError("inner is a vertex sequence, not a string")
-        inner, arcs = tuple(self.inner), tuple(self.arcs)
+        inner, arcs = tuple(inner), tuple(arcs)
         if any(isinstance(arc, (str, set, frozenset)) for arc in arcs):
             raise ValueError("an arc is a (tail, head) pair, not a string or a set")
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "arcs", frozenset((u, v) for u, v in arcs))
+        arcs = frozenset((u, v) for u, v in arcs)
         if SOURCE in inner or TARGET in inner:
             raise ValueError("source and target cannot be inner vertices")
         if len(set(inner)) != len(inner):
             raise ValueError("inner vertices repeat")
-        verts = (SOURCE, *inner, TARGET)
-        ranks = {v: i for i, v in enumerate(verts)}
-        for u, v in self.arcs:
+        self.__dict__["inner"] = inner
+        ranks, size = self._ranks, self._size
+        for u, v in arcs:
             if u not in ranks or v not in ranks:
                 raise ValueError(f"arc ({u!r}, {v!r}) leaves the vertex set")
             if u == v:
@@ -68,38 +64,45 @@ class Network:
                 raise ValueError("no arc may enter the source")
             if u == TARGET:
                 raise ValueError("no arc may leave the target")
-        size = len(verts)
-        self._index(verts, ranks, {(u, v): 1 << (ranks[u] * size + ranks[v])
-                                   for u, v in self.arcs})
-
-    def _index(self, verts: tuple, ranks: dict, bits: dict) -> None:
-        self.__dict__.update(_verts=verts, _ranks=ranks, _size=len(verts),
-                             _bit=bits, _arc_mask=sum(bits.values()))
+        self.__dict__["mask"] = sum(1 << (ranks[u] * size + ranks[v]) for u, v in arcs)
 
     @classmethod
     def _from_mask(cls, inner: tuple, mask: int) -> "Network":
-        """The network over inner whose arcs are the set bits of mask.
+        """The network over inner whose arcs are the set bits of mask,
+        unchecked: the caller derives mask from ranks and never sets a bit
+        into the source, out of the target or on the diagonal."""
+        net = object.__new__(cls)
+        net.__dict__.update(inner=inner, mask=mask)
+        return net
 
-        The checks are skipped: the caller derives mask from ranks and
-        never sets a bit into the source, out of the target or on the
-        diagonal.
-        """
-        verts = (SOURCE, *inner, TARGET)
-        size = len(verts)
-        bits = {}
+    @cached_property
+    def vertices(self) -> tuple:
+        return (SOURCE, *self.inner, TARGET)
+
+    @cached_property
+    def _ranks(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _size(self) -> int:
+        return len(self.inner) + 2
+
+    @cached_property
+    def arcs(self) -> frozenset:
+        return frozenset(self._bit)
+
+    @cached_property
+    def _bit(self) -> dict:
+        return dict(self._labels(self.mask))
+
+    def _labels(self, mask: int) -> Iterator[tuple[tuple, int]]:
+        """(arc, bit) for each set bit of mask, ascending: arc_key order."""
+        verts, size = self.vertices, self._size
         while mask:
             low = mask & -mask
             mask ^= low
             u, v = divmod(low.bit_length() - 1, size)
-            bits[(verts[u], verts[v])] = low
-        net = object.__new__(cls)
-        net.__dict__.update(inner=inner, arcs=frozenset(bits))
-        net._index(verts, {v: i for i, v in enumerate(verts)}, bits)
-        return net
-
-    @property
-    def vertices(self) -> tuple:
-        return self._verts
+            yield (verts[u], verts[v]), low
 
     def rank(self, v) -> int:
         try:
@@ -110,18 +113,11 @@ class Network:
     def arc_key(self, arc) -> tuple[int, int]:
         return (self.rank(arc[0]), self.rank(arc[1]))
 
-    def sorted_arcs(self, arcs: Iterable | None = None) -> list:
-        pool = self.arcs if arcs is None else arcs
-        return sorted(pool, key=self.arc_key)
-
-    def _arcs_of(self, mask: int) -> frozenset:
-        return frozenset(arc for arc, bit in self._bit.items() if mask & bit)
-
     def _path(self, ranks: Iterable[int]) -> "StPath":
         """The path through the vertices of the given ranks, unchecked:
         verify_rainbow_path and verify_regimentation check paths."""
         path = object.__new__(StPath)
-        path.__dict__["vertices"] = tuple(map(self._verts.__getitem__, ranks))
+        path.__dict__["vertices"] = tuple(map(self.vertices.__getitem__, ranks))
         return path
 
 
@@ -244,7 +240,7 @@ class NetworkFamily:
         a nonnegative int, not a bool, with no bit outside the network's
         arcs."""
         masks = tuple(masks)
-        outside = ~network._arc_mask
+        outside = ~network.mask
         for idx, mask in enumerate(masks, start=1):
             if type(mask) is not int or mask < 0:
                 raise ValueError(
@@ -263,7 +259,8 @@ class NetworkFamily:
 
     @cached_property
     def sets(self) -> tuple:
-        return tuple(self.network._arcs_of(m) for m in self.masks)
+        net = self.network
+        return tuple(frozenset(arc for arc, _ in net._labels(m)) for m in self.masks)
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -54,7 +54,7 @@ def _backward_mask(net: Network, ranks) -> int:
     for u in ranks:
         back |= earlier << (u * net._size)
         earlier |= 1 << u
-    return back & net._arc_mask
+    return back & net.mask
 
 
 def _least_backward_arc(nf, reg, positions) -> tuple | None:

@@ -60,6 +60,9 @@ def graded_union_condition(fam: EdgeFamily, k: int) -> bool:
     a k-subset, whose union's matching number already bounds nu(union K)
     from below by k.
     """
+    _require_ints((k,), "a size parameter")
+    if k < 1:
+        raise ValueError("need k >= 1")
     g = fam.graph
     return _first_short_union(g, [_rows(g, s) for s in fam.sets],
                               tuple(range(1, min(k, len(fam)) + 1))) is None

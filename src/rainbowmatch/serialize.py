@@ -204,15 +204,6 @@ def network_family_from_json(payload: Any) -> NetworkFamily:
         raise ParseError(str(exc)) from exc
 
 
-def network_family_to_json(nf: NetworkFamily) -> dict:
-    net = nf.network
-    return {
-        "inner": [vertex_to_json(v) for v in net.inner],
-        "sets": [[[vertex_to_json(u), vertex_to_json(v)]
-                  for u, v in net.sorted_arcs(s)] for s in nf.sets],
-    }
-
-
 def load_instance(text: str) -> EdgeFamily | NetworkFamily:
     """Parse either instance flavor, keyed on the fields present."""
     payload = _json_loads(text)
@@ -322,9 +313,9 @@ def network_dot(net: Network, regimentation: Regimentation | None = None) -> str
     for v in net.inner:
         lines.append(f'  {_dot_id(v)} [shape=box, label="{_dot_label(v)}"];')
     lines.append('  t [shape=circle, label="t"];')
-    for u, v in net.sorted_arcs():
+    for (u, v), bit in net._labels(net.mask):
         attrs = ""
-        if net._bit[(u, v)] & backward:
+        if bit & backward:
             attrs = ' [style=dashed, color=crimson, xlabel="backward"]'
         lines.append(f"  {_dot_id(u)} -> {_dot_id(v)}{attrs};")
     lines.append("}")

@@ -14,6 +14,7 @@ from collections import Counter
 from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, Edge, EdgeFamily,
                           GreedyStuck, Network, NetworkFamily, RainbowMatching,
                           RainbowStPath, Regimentation, StPath, matching_number)
+from rainbowmatch.serialize import vertex_to_json
 
 
 def is_matching(edges) -> bool:
@@ -158,6 +159,18 @@ def abstract_family(inner, member_arc_sets, full_arcs=None) -> NetworkFamily:
     return NetworkFamily(net, sets)
 
 
+def network_family_to_json(nf: NetworkFamily) -> dict:
+    """nf as a network instance payload, each member's arcs in arc_key
+    order: the writer the reader network_family_from_json is tested
+    against."""
+    net = nf.network
+    return {
+        "inner": [vertex_to_json(v) for v in net.inner],
+        "sets": [[[vertex_to_json(u), vertex_to_json(v)]
+                  for u, v in sorted(s, key=net.arc_key)] for s in nf.sets],
+    }
+
+
 def arc_union(nf: NetworkFamily, positions=None) -> frozenset:
     """Union of the arc sets at the given 1-based positions (default: all)."""
     chosen = nf.sets if positions is None else [nf.sets[p - 1] for p in positions]
@@ -283,7 +296,7 @@ def naive_least_backward_arc(net: Network, nf: NetworkFamily,
     None."""
     found = None
     for pos in sorted(ie_positions):
-        for arc in net.sorted_arcs(nf.sets[pos - 1]):
+        for arc in sorted(nf.sets[pos - 1], key=net.arc_key):
             for index, q in enumerate(reg.paths):
                 spots = {v: i for i, v in enumerate(q.vertices)}
                 if arc[0] in spots and arc[1] in spots \

@@ -139,6 +139,16 @@ def test_gen_missing_flag_exits_64(capsys):
     assert "needs --n and --k" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "drisko", "--seed", "1"), "gen drisko needs --n"),
+    (("--family", "staircase", "--seed", "1"), "gen staircase needs --k"),
+])
+def test_gen_without_its_size_flag_exits_64(capsys, argv, message):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert (code, out) == (64, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("--family", "sharpness", "--n", "3", "--k", "2", "--seed", "77"), "--seed"),
     (("--family", "drisko", "--n", "3", "--k", "99"), "--k"),
@@ -209,6 +219,21 @@ def test_check_command(capsys, sharp22, drisko2):
     assert out.splitlines()[0] == "holds"
 
 
+def test_check_reports_the_failing_members(tmp_path, capsys):
+    # members 1 and 2 share their one edge: their union has nu 1 < n = 2
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(
+        {"left": 2, "right": 2, "sets": [[[1, 1]], [[1, 1]], [[2, 2]]]}))
+    code, out, _ = run_cli(capsys, "check", "--input", str(failing),
+                           "--m", "3", "--k", "2", "--n", "2", "--q", "2")
+    assert code == 0
+    first, rest = out.split("\n", 1)
+    assert first == "hypothesis-failure"
+    assert json.loads(rest) == {"schema": "rainbow/1",
+                                "status": "hypothesis-failure",
+                                "failing": [1, 2]}
+
+
 def test_check_rejects_empty_family(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"left": 2, "right": 2, "sets": []}))
@@ -245,6 +270,24 @@ def test_certify_command(tmp_path, capsys):
     code, _, err = run_cli(capsys, "certify", "--input", str(netfile),
                            "--regimentation", str(malformed))
     assert code == 66
+
+
+def test_certify_skips_the_structure_lemmas_beside_a_rainbow_path(tmp_path,
+                                                                 capsys):
+    # a valid certificate, but members 1 and 2 also form the rainbow path
+    # s -> v -> t, so the lemmas' hypothesis does not hold
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(
+        {"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]] * 2}))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"schema": "rainbow/1",
+                                "paths": [["s", "v", "t"]],
+                                "assignment": {"1": 0}}))
+    code, out, _ = run_cli(capsys, "certify", "--input", str(netfile),
+                           "--regimentation", str(cert))
+    assert code == 0
+    assert out == ("PASS (1)(2)(3); structure lemmas skipped: "
+                   "a rainbow source-target path exists\n")
 
 
 def test_search_command(capsys):
@@ -429,6 +472,8 @@ def _run_module(*argv):
 @pytest.mark.parametrize("instance", [
     {"left": 2, "right": 2, "sets": [[[1.9, 1]], [[True, 2]], [[2, 2]]]},
     {"left": 2.7, "right": 2, "sets": [[[1, 1]], [[2, 2]], [[1, 2]]]},
+    # a network instance: its vertices are labels, not bipartite indices
+    {"inner": ["v"], "sets": [[["s", "v"]], [["v", "t"]], [["s", "t"]]]},
 ])
 def test_solve_refuses_non_integer_vertices(tmp_path, instance):
     path = tmp_path / "inst.json"
@@ -454,6 +499,9 @@ def test_solve_refuses_non_integer_vertices(tmp_path, instance):
      {"paths": ["svt"], "assignment": {"1": 0}}, 66),
     ({"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]},
      {"paths": [{"s": 0, "v": 1, "t": 2}], "assignment": {"1": 0}}, 66),
+    # a bipartite instance has no network to certify
+    ({"left": 2, "right": 2, "sets": [[[1, 1]], [[2, 2]]]},
+     {"paths": [["s", "t"]], "assignment": {}}, 64),
 ])
 def test_certify_refuses_malformed_shapes(tmp_path, network, certificate,
                                           expected):

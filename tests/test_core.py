@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from rainbowmatch import (BipartiteGraph, EdgeFamily, RainbowMatching,
                           conjecture_search,
-                          cooperative_condition, is_valid_rainbow,
+                          cooperative_condition, dichotomy,
+                          graded_union_condition, is_valid_rainbow,
                           matching_number, max_matching,
                           rainbow_matching_max, solve_main,
                           verify_arrow_statement)
@@ -15,8 +16,9 @@ from rainbowmatch.generators import (drisko_family, random_cooperative_family,
                                      sharpness_family, staircase_family)
 from rainbowmatch.search import doubled_family
 
-from .helpers import (brute_matching_number, brute_rainbow_number,
-                      dict_kuhn_matching, family_on, naive_rainbow_matching_max)
+from .helpers import (abstract_family, brute_matching_number,
+                      brute_rainbow_number, dict_kuhn_matching, family_on,
+                      naive_rainbow_matching_max)
 
 K22 = BipartiteGraph.complete(2)
 K33 = BipartiteGraph.complete(3)
@@ -32,6 +34,12 @@ def test_graph_validation():
 
 def _fam22():
     return family_on(K22, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}, {(1, 1)})
+
+
+def _dichotomy(k):
+    # one member at one inner vertex: the critical size for k = 1
+    nf = abstract_family(("v",), [{("s", "v"), ("v", "t")}])
+    return dichotomy(nf.network, nf, k)
 
 
 @pytest.mark.parametrize("call", [
@@ -50,15 +58,30 @@ def _fam22():
     lambda: random_cooperative_family(2, 2, K22, density=1.7),
     lambda: random_cooperative_family(2, 2, K22, density=-0.1),
     lambda: random_cooperative_family(2, 2, K22, density=True),
+    lambda: graded_union_condition(_fam22(), True),
+    lambda: graded_union_condition(_fam22(), 1.5),
+    lambda: _dichotomy(True),
+    lambda: _dichotomy(1.0),
+    lambda: is_valid_rainbow(_fam22(), RainbowMatching({3: (1, 1)}), size=True),
 ], ids=["bool-side", "float-side", "float-complete-side", "float-solve-n",
         "bool-condition-n", "float-arrow-m", "float-sharpness-k",
         "bool-drisko-n", "float-staircase-k", "bool-random-k",
         "bool-search-k", "float-search-budget", "density-above-1",
-        "density-below-0", "bool-density"])
+        "density-below-0", "bool-density", "bool-graded-k", "float-graded-k",
+        "bool-dichotomy-k", "float-dichotomy-k", "bool-rainbow-size"])
 def test_size_parameters_refuse_floats_and_bools(call):
     # each was coerced or clamped: True read as 1, 2.0 failed later
     with pytest.raises(ValueError, match="must be an int|density must lie"):
         call()
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_parameters_refuse_values_below_one(k):
+    # graded_union_condition read k <= 0 as a vacuous pass
+    with pytest.raises(ValueError, match="need k >= 1"):
+        graded_union_condition(_fam22(), k)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        _dichotomy(k)
 
 
 def test_matching_rejects_shared_vertices():

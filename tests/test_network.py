@@ -60,7 +60,7 @@ def test_st_path_validation():
 
 
 def test_network_surface_has_one_source_and_target():
-    assert [f.name for f in dataclasses.fields(Network)] == ["inner", "arcs"]
+    assert [f.name for f in dataclasses.fields(Network)] == ["inner", "mask"]
     net = Network(inner=("v",), arcs={("s", "v"), ("v", "t")})
     sets = (frozenset({("s", "v")}),)
     assert [f.name for f in dataclasses.fields(NetworkFamily)] == [
@@ -89,6 +89,21 @@ def test_network_surface_has_one_source_and_target():
     for label in (SOURCE, TARGET):
         with pytest.raises(ValueError):
             Network(inner=(label,), arcs=frozenset())
+
+
+def test_network_is_its_inner_vertices_and_one_mask():
+    inner = ("u", "v")
+    arcs = {("s", "u"), ("u", "v"), ("v", "u"), ("v", "t"), ("s", "t")}
+    net = Network(inner=inner, arcs=arcs)
+    assert net.arcs == arcs
+    assert net.mask == sum(1 << (net.rank(u) * 4 + net.rank(v)) for u, v in arcs)
+    same = Network._from_mask(inner, net.mask)
+    assert same == net and hash(same) == hash(net)
+    assert same.arcs == arcs
+    for arc in arcs:
+        fewer = Network(inner=inner, arcs=arcs - {arc})
+        assert fewer != net and fewer.mask != net.mask
+    assert Network(inner=("v", "u"), arcs=arcs) != net
 
 
 def test_network_family_requires_ambient_arcs():
@@ -284,7 +299,7 @@ def test_st_paths_enumeration_is_lexicographic():
                 ("s", "t")]
     # the order exhaustive_rainbow_path and find_regimentation rely on
     found = [net._path(ranks).vertices
-             for ranks in _rank_paths(net._arc_mask, net._size)]
+             for ranks in _rank_paths(net.mask, net._size)]
     assert found == expected
     assert [p.vertices for p in naive_st_paths(net.arcs, net)] == expected
 

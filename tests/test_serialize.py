@@ -16,12 +16,11 @@ from rainbowmatch.serialize import (CertificateError, ParseError,
                                     matching_certificate,
                                     matching_from_certificate,
                                     network_dot, network_family_from_json,
-                                    network_family_to_json,
                                     regimentation_certificate,
                                     regimentation_from_certificate,
                                     vertex_from_json, vertex_to_json)
 
-from .helpers import abstract_family
+from .helpers import abstract_family, network_family_to_json
 
 
 def test_vertex_codec():

@@ -200,6 +200,31 @@ def test_extremal_critical_round_at_scale():
     assert [e["op"] for e in trail] == ["augment"] * 9 + ["swap", "augment"]
 
 
+def test_solve_rounds_never_build_the_arc_view(monkeypatch):
+    # every round's network is its inner tuple and its mask: no step, the
+    # regimented swap included, reads the label view of the arcs
+    n = 4
+    g, base = sharpness_family(n, 2)
+    shifted = frozenset((i, i % n + 1) for i in range(1, n + 1))
+    rank = {shifted: 0, frozenset({(1, 2)}): 1}
+    fam = EdgeFamily(g, tuple(sorted(base.sets + (shifted,),
+                                     key=lambda s: rank.get(s, 2))))
+    built = []
+
+    def spy(fam, rm):
+        net, nf = build_network(fam, rm)
+        built.append(net)
+        return net, nf
+
+    monkeypatch.setattr(solver, "build_network", spy)
+    trail = []
+    assert is_valid_rainbow(fam, solve_main(fam, 2, n, trail=trail), size=n)
+    assert "swap" in [e["op"] for e in trail]
+    assert len(built) == len(trail)
+    for net in built:
+        assert "arcs" not in net.__dict__ and "_bit" not in net.__dict__
+
+
 def test_modes_agree_on_random_instances():
     checked = 0
     for (n, k) in ((2, 2), (3, 2), (3, 3), (4, 2)):
