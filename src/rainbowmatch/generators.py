@@ -69,18 +69,17 @@ def staircase_family(k: int, seed: int = 0) -> EdgeFamily:
 def _random_picks(graph: BipartiteGraph, members: int, rng: SplitMix64,
                   permille: int) -> list[list[bool]]:
     """members edge subsets as keep flags over the graph's sorted edges
-    (_edge_table order): each edge is kept when below(1000) < permille,
-    drawn in that order, and a subset left empty gets the one edge at
-    below(width) instead.  The search sums the flags into edge masks."""
+    (_edge_table order), one draws(1000, width) per subset: an edge is kept
+    when its draw is below permille, and a subset left empty gets the one
+    edge at below(width) instead.  The search sums the flags into masks."""
     width = len(_edge_table(graph)[0])
     if not width:
         raise ValueError("the graph has no edges to draw from")
-    below = rng.below
     picks = []
     for _ in range(members):
-        keep = [below(1000) < permille for _ in range(width)]
+        keep = [d < permille for d in rng.draws(1000, width)]
         if not any(keep):
-            keep[below(width)] = True
+            keep[rng.below(width)] = True
         picks.append(keep)
     return picks
 

@@ -48,7 +48,7 @@ class Network:
         inner, arcs = tuple(inner), tuple(arcs)
         if any(isinstance(arc, (str, set, frozenset)) for arc in arcs):
             raise ValueError("an arc is a (tail, head) pair, not a string or a set")
-        arcs = frozenset((u, v) for u, v in arcs)
+        arcs = dict.fromkeys((u, v) for u, v in arcs)  # in the caller's order
         if SOURCE in inner or TARGET in inner:
             raise ValueError("source and target cannot be inner vertices")
         if len(set(inner)) != len(inner):

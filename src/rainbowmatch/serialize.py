@@ -65,6 +65,10 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
         out.append(_encode_str(value))
     elif type(value) is int:
         out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)) and len(value) == 2 \
+            and type(value[0]) is int and type(value[1]) is int:
+        # an edge, the commonest list in an instance, in one piece
+        out.append(f"[{indent}  {value[0]},{indent}  {value[1]}{indent}]")
     elif isinstance(value, (list, tuple)) and value:
         inner = indent + "  "
         opener = "[" + inner
@@ -190,16 +194,16 @@ def network_family_from_json(payload: Any) -> NetworkFamily:
     for idx, raw in enumerate(payload["sets"], start=1):
         if not isinstance(raw, list):
             raise ParseError(f"set {idx} must be a list of arcs")
-        arcs = set()
+        arcs = []
         for arc in raw:
             if not (isinstance(arc, list) and len(arc) == 2):
                 raise ParseError(f"set {idx} holds a malformed arc: {arc!r}")
-            arcs.add((vertex_from_json(arc[0]), vertex_from_json(arc[1])))
-        sets.append(frozenset(arcs))
-    arcs = frozenset().union(*sets) if sets else frozenset()
+            arcs.append((vertex_from_json(arc[0]), vertex_from_json(arc[1])))
+        sets.append(arcs)
     try:
-        net = Network(inner=inner, arcs=arcs)
-        return NetworkFamily(net, tuple(sets))
+        # the arcs in file order, so a bad file always reports the same arc
+        net = Network(inner=inner, arcs=[arc for s in sets for arc in s])
+        return NetworkFamily(net, sets)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

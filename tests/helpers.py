@@ -397,3 +397,16 @@ def naive_exhaustive_rainbow_path(net: Network, nf: NetworkFamily):
             if len(set(choice)) == len(choice):
                 return RainbowStPath(p, dict(enumerate(choice)))
     return None
+
+
+def naive_splitmix64(seed: int, count: int) -> tuple[list[int], int]:
+    """The first count outputs from seed and the state after them, one
+    step at a time by the formula in rainbowmatch.rng's docstring."""
+    state, out = seed % 2**64, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append(z ^ (z >> 31))
+    return out, state

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -514,6 +515,28 @@ def test_certify_refuses_malformed_shapes(tmp_path, network, certificate,
     assert proc.returncode == expected
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+def test_certify_reports_a_bad_arc_whatever_the_string_hashing(tmp_path):
+    # three bad arcs: the first in file order is the one reported, under
+    # every hash seed
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps({"inner": ["u", "v"], "sets": [
+        [["u", "u"]], [["v", "s"], ["t", "v"]]]}))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"schema": "rainbow/1", "paths": [["s", "t"]],
+                                "assignment": {}}))
+    errors = set()
+    for hashseed in "1234":
+        proc = subprocess.run(
+            [sys.executable, "-m", "rainbowmatch", "certify", "--input",
+             str(netfile), "--regimentation", str(cert)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": hashseed})
+        assert proc.returncode == 64 and proc.stdout == ""
+        errors.add(proc.stderr)
+    assert len(errors) == 1
+    assert "self-loops are not allowed" in errors.pop()
 
 
 def test_certify_above_the_search_bound_exits_65(tmp_path):

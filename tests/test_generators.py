@@ -11,7 +11,7 @@ from rainbowmatch.search import conjecture_search
 from rainbowmatch.rng import SplitMix64
 from rainbowmatch.serialize import family_dumps, family_loads
 
-from .helpers import set_random_family
+from .helpers import naive_splitmix64, set_random_family
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,3 +169,42 @@ def test_below_refuses_bounds_outside_one_to_two_to_the_64(bound):
     with pytest.raises(ValueError, match="need an int bound"):
         rng.below(bound)
     assert rng._state == SplitMix64(1)._state   # nothing was drawn
+
+
+def test_block_is_the_scalar_stream():
+    for seed in (0, 1, 42, 7919, 2**64 - 1):   # the last wraps the state
+        for count in range(131):
+            rng = SplitMix64(seed)
+            values, state = naive_splitmix64(seed, count)
+            assert rng.block(count) == values, (seed, count)
+            assert rng._state == state, (seed, count)
+
+
+def test_draws_keeps_the_threshold_stream():
+    bounds = (1, 2, 3, 1000, 2**32 + 1, 2**63 + 5, 2**64)
+    for seed in (0, 1, 42, 7919, 2**64 - 1):
+        for n in bounds:
+            for count in (0, 1, 9, 64, 130):
+                ours, theirs = SplitMix64(seed), SplitMix64(seed)
+                draws = []
+                assert ours.draws(n, count) == \
+                    [_reference_below(theirs, n, draws) for _ in range(count)], \
+                    (seed, n, count)
+                assert ours._state == theirs._state, (seed, n, count)
+                if n == 2**63 + 5 and count == 130:   # top-ups ran
+                    assert len(draws) > 130, seed
+
+
+@pytest.mark.parametrize("n, count", [
+    (2**64 + 1, 5), (0, 5), (2.0, 5), (True, 5),
+    (1000, -1), (1000, 2.0), (1000, True), (1000, False), (1000, "3")])
+def test_draws_refuses_a_bad_bound_or_count(n, count):
+    rng = SplitMix64(1)
+    message = "need a nonnegative int count" if n == 1000 else "need an int bound"
+    with pytest.raises(ValueError, match=message):
+        rng.draws(n, count)
+    assert rng._state == SplitMix64(1)._state   # nothing was drawn
+    if n == 1000:
+        with pytest.raises(ValueError, match="need a nonnegative int count"):
+            rng.block(count)
+        assert rng._state == SplitMix64(1)._state

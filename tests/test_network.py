@@ -40,6 +40,12 @@ def test_network_validation():
         Network(inner=("u", "v"), arcs=[{"s", "u"}])
     with pytest.raises(ValueError):
         Network(inner="uv", arcs=[])  # a string is not a vertex sequence
+    # several bad arcs: the first in the caller's order is reported
+    bad = [("x", "u"), ("u", "u"), ("v", "s"), ("t", "v")]
+    for first, message in zip(bad, ("leaves the vertex set", "self-loops",
+                                     "enter the source", "leave the target")):
+        with pytest.raises(ValueError, match=message):
+            Network(inner=("u", "v"), arcs=[first, *bad])
     net = Network(inner=("u", "v"), arcs={("s", "u"), ("u", "v"), ("v", "t")})
     assert net.vertices == ("s", "u", "v", "t")
     assert net.rank("u") < net.rank("v") < net.rank("t")

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch import (BipartiteGraph, EdgeFamily, NetworkFamily,
@@ -256,5 +256,12 @@ _payloads = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_payloads)
+# two-item lists of exact ints take a path of their own
+@example([1, 2])
+@example((1, 2))
+@example([True, 1])
+@example([1.0, 2])
+@example([2**70, -3])
+@example({"sets": [[[1, 2], [3, 4]], []], "edge": (5, 6)})
 def test_canonical_dump_is_json_dumps_with_indent_2(payload):
     assert dumps_canonical(payload) == json.dumps(payload, indent=2) + "\n"
