@@ -8,8 +8,8 @@ counterexample-search harness.
 """
 
 from .core import (BipartiteGraph, Edge, EdgeFamily, RainbowMatching,
-                   cooperative_condition, is_valid_rainbow, matching_number,
-                   max_matching, rainbow_matching_max)
+                   cooperative_condition, is_valid_rainbow, max_matching,
+                   rainbow_matching_max)
 from .network import (SOURCE, TARGET, Network, NetworkFamily, StPath,
                       build_network, has_st_path)
 from .paths import (GreedyStuck, RainbowStPath, exhaustive_rainbow_path,
@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteGraph", "Edge", "EdgeFamily", "RainbowMatching",
-    "cooperative_condition", "is_valid_rainbow", "matching_number",
-    "max_matching", "rainbow_matching_max",
+    "cooperative_condition", "is_valid_rainbow", "max_matching",
+    "rainbow_matching_max",
     "SOURCE", "TARGET", "Network", "NetworkFamily", "StPath",
     "build_network", "has_st_path",
     "GreedyStuck", "RainbowStPath", "exhaustive_rainbow_path",

@@ -33,7 +33,7 @@ from .generators import drisko_family, sharpness_family, staircase_family
 from .network import build_network
 from .regiment import check_structure_lemmas, verify_regimentation
 from .search import TARGETS, conjecture_search
-from .serialize import (CertificateError, ParseError, _json_loads,
+from .serialize import (SCHEMA, CertificateError, ParseError, _json_loads,
                         dumps_canonical, family_dumps, family_to_json,
                         load_instance, matching_certificate,
                         matching_from_certificate, network_dot,
@@ -105,12 +105,11 @@ def _cmd_solve(args) -> int:
     trail: list = []
     outcome = solve_main(fam, args.k, args.n, trail=trail)
     if isinstance(outcome, HypothesisFailure):
-        print(dumps_canonical({"schema": "rainbow/1",
-                               "hypothesis_failure": list(outcome.indices)}),
-              end="")
+        print(dumps_canonical({"schema": SCHEMA,
+                               "hypothesis_failure": outcome.indices}), end="")
         return EXIT_HYPOTHESIS
     if isinstance(outcome, ViolationReport):
-        print(dumps_canonical({"schema": "rainbow/1",
+        print(dumps_canonical({"schema": SCHEMA,
                                "violation": outcome.detail,
                                "oracle_size": outcome.oracle_size}), end="")
         return EXIT_VIOLATION
@@ -122,9 +121,9 @@ def _cmd_check(args) -> int:
     fam = _load_family(args.input)
     verdict = verify_arrow_statement(args.m, args.k, args.n, args.q, fam)
     print(verdict.status)
-    detail: dict = {"schema": "rainbow/1", "status": verdict.status}
+    detail: dict = {"schema": SCHEMA, "status": verdict.status}
     if verdict.failing_indices is not None:
-        detail["failing"] = list(verdict.failing_indices)
+        detail["failing"] = verdict.failing_indices
     if verdict.oracle_size is not None:
         detail["nu_r"] = verdict.oracle_size
     print(dumps_canonical(detail), end="")
@@ -183,7 +182,7 @@ def _cmd_search(args) -> int:
     if result.found:
         print("counterexample")
         print(dumps_canonical({
-            "schema": "rainbow/1",
+            "schema": SCHEMA,
             "conjecture": result.target,
             "oracle_size": result.oracle_size,
             "instance": family_to_json(result.counterexample),

@@ -260,38 +260,23 @@ def _first_short_union(g: BipartiteGraph, rows: list[list[int]],
     return walk(0, 0, [0] * (g.left_size + 1), [0] * (g.right_size + 1), 0)
 
 
-def _checked(g: BipartiteGraph, edge_subset: Iterable[Edge] | None) -> frozenset[Edge]:
-    """edge_subset normalised and checked to lie inside g (default: all edges)."""
-    if edge_subset is None:
-        return g.edges
-    edges = frozenset(_as_edge(e) for e in edge_subset)
-    if not edges <= g.edges:
-        raise ValueError("edge_subset must lie inside the graph")
-    return edges
-
-
-def _nu(g: BipartiteGraph, edges: Iterable[Edge]) -> int:
-    """Matching number of edges already known to lie inside g."""
-    return _kuhn(_rows(g, edges), [0] * (g.right_size + 1), 0, g.left_size).bit_count()
-
-
 def max_matching(g: BipartiteGraph,
                  edge_subset: Iterable[Edge] | None = None) -> frozenset[Edge]:
     """Edges of a maximum-cardinality matching inside edge_subset (default:
-    all edges).
+    all edges); its size is the matching number.
 
     Runs the Kuhn kernel from the empty matching, scanning A-vertices in
     ascending order and B-vertices lowest first, so the result is
     deterministic for a fixed input.
     """
+    edges = g.edges
+    if edge_subset is not None:
+        edges = frozenset(_as_edge(e) for e in edge_subset)
+        if not edges <= g.edges:
+            raise ValueError("edge_subset must lie inside the graph")
     owner = [0] * (g.right_size + 1)
-    _kuhn(_rows(g, _checked(g, edge_subset)), owner, 0, g.left_size)
+    _kuhn(_rows(g, edges), owner, 0, g.left_size)
     return frozenset((a, b) for b, a in enumerate(owner) if a)
-
-
-def matching_number(g: BipartiteGraph,
-                    edge_subset: Iterable[Edge] | None = None) -> int:
-    return _nu(g, _checked(g, edge_subset))
 
 
 def _rainbow_walk(masks: list[int], disjoint: tuple[int, ...],
@@ -348,7 +333,7 @@ def rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
     """
     edges, bits, disjoint = _edge_table(fam.graph)
     masks = [sum(map(bits.__getitem__, s)) for s in fam.sets]
-    ceiling = min(len(fam), _nu(fam.graph, fam.union()))
+    ceiling = min(len(fam), len(max_matching(fam.graph, fam.union())))
     best = _rainbow_walk(masks, disjoint, ceiling)
     return len(best), RainbowMatching({i + 1: edges[j] for i, j in best})
 

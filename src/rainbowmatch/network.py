@@ -10,7 +10,7 @@ reads a member's edge back from them.
 
 Inside, vertices are their ranks (source 0, inner vertices 1..r, target
 r + 1) and arc (u, v) is bit rank(u) * |V| + rank(v) of an integer mask,
-so ascending bits run in arc_key order.  A network is its inner vertices
+so ascending bits run in rank order.  A network is its inner vertices
 plus the mask of its arcs, and a family member is one mask over them;
 the frozenset views of arcs are built only where callers ask.
 """
@@ -96,22 +96,13 @@ class Network:
         return dict(self._labels(self.mask))
 
     def _labels(self, mask: int) -> Iterator[tuple[tuple, int]]:
-        """(arc, bit) for each set bit of mask, ascending: arc_key order."""
+        """(arc, bit) for each set bit of mask, ascending: rank order."""
         verts, size = self.vertices, self._size
         while mask:
             low = mask & -mask
             mask ^= low
             u, v = divmod(low.bit_length() - 1, size)
             yield (verts[u], verts[v]), low
-
-    def rank(self, v) -> int:
-        try:
-            return self._ranks[v]
-        except KeyError:
-            raise ValueError(f"{v!r} is not a vertex of the network") from None
-
-    def arc_key(self, arc) -> tuple[int, int]:
-        return (self.rank(arc[0]), self.rank(arc[1]))
 
     def _path(self, ranks: Iterable[int]) -> "StPath":
         """The path through the vertices of the given ranks, unchecked:

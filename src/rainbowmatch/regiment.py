@@ -60,7 +60,7 @@ def _backward_mask(net: Network, ranks) -> int:
 def _least_backward_arc(nf, reg, positions) -> tuple | None:
     """(position, path index, head spot, tail spot) of the least backward
     arc of the first member among positions that holds one, or None: bits
-    ascend in arc_key order, and no arc enters s or leaves t, so a backward
+    ascend in rank order, and no arc enters s or leaves t, so a backward
     arc lies inside exactly one of reg's paths."""
     net = nf.network
     ranks = [_path_ranks(net, q) for q in reg.paths]

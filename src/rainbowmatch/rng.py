@@ -59,6 +59,8 @@ class SplitMix64:
         """The next count outputs of next_u64, in order."""
         if type(count) is not int or count < 0:
             raise ValueError(f"need a nonnegative int count, got {count!r}")
+        if count == 1:
+            return [self.next_u64()]  # the scalar steps beat the lane set-up
         ones, steps, lanes, unpack = _lanes(count)
         z = (ones * self._state + steps) & lanes
         self._state = (self._state + count * _GAMMA) & _MASK

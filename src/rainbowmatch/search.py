@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .core import (BipartiteGraph, EdgeFamily, _edge_table, _first_short_union,
                    _mask_rows, _rainbow_walk, _require_ints, _rows,
-                   matching_number, rainbow_matching_max)
+                   max_matching, rainbow_matching_max)
 from .generators import _random_picks
 from .rng import SplitMix64
 
@@ -162,7 +162,7 @@ def _verified(target: str, k: int, fam: EdgeFamily, instances: int,
     if target == "c4.1":
         ok, checked, needed = graded_union_condition(fam, k), fam, k
     else:
-        ok = all(matching_number(fam.graph, s) >= k for s in fam.sets)
+        ok = all(len(max_matching(fam.graph, s)) >= k for s in fam.sets)
         checked, needed = doubled_family(fam), 2 * k - 1
     if not ok or rainbow_matching_max(checked)[0] != size or size >= needed:
         raise RuntimeError("counterexample failed re-verification")

@@ -31,6 +31,11 @@ _MAX_SIDE = 2 ** 16
 # the most inner vertices a network instance may declare: a member mask
 # holds about |V|**2 bits, so 2**10 keeps one mask under about 128 KiB
 _MAX_INNER = 2 ** 10
+# the most row entries a bipartite instance may need: the hypothesis check
+# builds one row list of left + 1 entries per member
+_MAX_ROWS = 2 ** 22
+# the most mask bits a network instance may need: (inner + 2)**2 per member
+_MAX_MASK_BITS = 2 ** 28
 
 
 class ParseError(ValueError):
@@ -42,7 +47,8 @@ class CertificateError(ValueError):
 
 
 def dumps_canonical(payload: Any) -> str:
-    """json.dumps(payload, indent=2) plus a newline, byte for byte.
+    """json.dumps(payload, indent=2) plus a newline, byte for byte; like
+    json, it writes a tuple as a list.
 
     Any indent sends json to its pure-Python encoder, so the layout is
     written here: strings through json's C string encoder, exact ints by
@@ -134,6 +140,8 @@ def family_from_json(payload: Any) -> EdgeFamily:
         raise ParseError(f"a side may hold at most {_MAX_SIDE} vertices")
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ParseError("instance needs a nonempty list of sets")
+    if len(raw_sets) * (left + 1) > _MAX_ROWS:
+        raise ParseError(f"members times (left + 1) may be at most {_MAX_ROWS}")
     # one pass checks shape and integer type; the messages are built only
     # on the error path
     sets = []
@@ -189,6 +197,9 @@ def network_family_from_json(payload: Any) -> NetworkFamily:
         raise ParseError("network instance 'inner' and 'sets' must be lists")
     if len(payload["inner"]) > _MAX_INNER:
         raise ParseError(f"a network may hold at most {_MAX_INNER} inner vertices")
+    if len(payload["sets"]) * (len(payload["inner"]) + 2) ** 2 > _MAX_MASK_BITS:
+        raise ParseError("members times (inner + 2)**2 may be at most "
+                         f"{_MAX_MASK_BITS}")
     inner = tuple(vertex_from_json(v) for v in payload["inner"])
     sets = []
     for idx, raw in enumerate(payload["sets"], start=1):

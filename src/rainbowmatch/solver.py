@@ -187,9 +187,7 @@ def _augment_via_path(fam: EdgeFamily, found, nf, rm: RainbowMatching):
     member_ids = [nf.origin[found.representation[j] - 1] for j in range(len(arcs))]
     edges = [_witness(fam, i, arc, rm) for i, arc in zip(member_ids, arcs)]
     return found.path.interior, list(zip(member_ids, edges)), {
-        "op": "augment", "path": [list(v) if isinstance(v, tuple) else v
-                                  for v in found.path.vertices],
-        "members": member_ids}
+        "op": "augment", "path": found.path.vertices, "members": member_ids}
 
 
 def _certificate_pool(reg, nf, path_index: int) -> list[int]:
@@ -220,7 +218,7 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg):
         if f not in represented_by:
             raise ConstructiveStall(
                 "inessential member holds a non-matching edge unexpectedly")
-        return [f], [(s1, f)], {"op": "swap", "edge": list(f),
+        return [f], [(s1, f)], {"op": "swap", "edge": f,
                                 "freed": represented_by[f], "represents": s1}
 
     # least inessential arc that runs backward along a certificate path;
@@ -249,7 +247,7 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg):
         # ax is directly addable
         direct = next((i for i in sorted(ie_ids) if ax in fam.member(i)), None)
         if direct is not None:
-            return [], [(direct, ax)], {"op": "augment-direct", "edge": list(ax),
+            return [], [(direct, ax)], {"op": "augment-direct", "edge": ax,
                                         "represents": direct}
         if ax not in fam.member(sp):
             raise ConstructiveStall("union matching edge escaped its members")
@@ -259,8 +257,7 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg):
         if len(bridges) > len(pool):
             raise ConstructiveStall("certificate lacks members for the exchange run")
         return run, [(sp, ax), chord, *zip(pool, bridges)], {
-            "op": "augment-exchange", "edge": list(ax),
-            "run": [list(e) for e in run]}
+            "op": "augment-exchange", "edge": ax, "run": run}
 
     # x is matched: walk from its matching edge to the target
     h = b_owner[x]
@@ -281,7 +278,7 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg):
     walk = list(zip([sp] + walk_ids, edges))
     if run[-1] in tail[:-1]:
         # the walk drops sp's old edge, so sp is represented once
-        return tail[:-1], walk, {"op": "augment", "edge": list(ax),
+        return tail[:-1], walk, {"op": "augment", "edge": ax,
                                  "members": [sp] + walk_ids}
     # sp keeps run[-1] beside ax: the cycle along the backward arc drops the
     # run, sp's old edge with it, and closes it with the chord and bridges
@@ -290,7 +287,7 @@ def _regimented_step(fam: EdgeFamily, n: int, rm: RainbowMatching, nf, reg):
     if len(bridges) > len(pool):
         raise ConstructiveStall("certificate lacks members for the repair cycle")
     return [*tail[:-1], *run], walk + [chord, *zip(pool, bridges)], {
-        "op": "rectify", "doubled": sp, "run": [list(e) for e in run]}
+        "op": "rectify", "doubled": sp, "run": run}
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from collections import Counter
 
 from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, Edge, EdgeFamily,
                           GreedyStuck, Network, NetworkFamily, RainbowMatching,
-                          RainbowStPath, Regimentation, StPath, matching_number)
+                          RainbowStPath, Regimentation, StPath, max_matching)
 from rainbowmatch.serialize import vertex_to_json
 
 
@@ -89,7 +89,7 @@ def naive_rainbow_matching_max(fam: EdgeFamily) -> tuple[int, RainbowMatching]:
         return 0, RainbowMatching({})
     order = sorted(range(1, m + 1), key=lambda i: (len(fam.member(i)), i))
     members = [(i, sorted(fam.member(i))) for i in order]
-    ceiling = min(m, matching_number(fam.graph, fam.union()))
+    ceiling = min(m, len(max_matching(fam.graph, fam.union())))
     best: dict[int, Edge] = {}
     chosen: dict[int, Edge] = {}
     used_a: set[int] = set()
@@ -160,14 +160,14 @@ def abstract_family(inner, member_arc_sets, full_arcs=None) -> NetworkFamily:
 
 
 def network_family_to_json(nf: NetworkFamily) -> dict:
-    """nf as a network instance payload, each member's arcs in arc_key
-    order: the writer the reader network_family_from_json is tested
-    against."""
-    net = nf.network
+    """nf as a network instance payload, each member's arcs in rank order:
+    the writer the reader network_family_from_json is tested against."""
+    net, ranks = nf.network, nf.network._ranks
     return {
         "inner": [vertex_to_json(v) for v in net.inner],
         "sets": [[[vertex_to_json(u), vertex_to_json(v)]
-                  for u, v in sorted(s, key=net.arc_key)] for s in nf.sets],
+                  for u, v in sorted(s, key=lambda a: (ranks[a[0]], ranks[a[1]]))]
+                 for s in nf.sets],
     }
 
 
@@ -291,12 +291,14 @@ def naive_verify_regimentation(net: Network, nf: NetworkFamily,
 def naive_least_backward_arc(net: Network, nf: NetworkFamily,
                              reg: Regimentation, ie_positions) -> tuple | None:
     """(position, path index, head spot, tail spot) of the first arc, over
-    the positions ascending and each member's arcs in arc_key order, that
+    the positions ascending and each member's arcs in rank order, that
     runs backward along some certificate path (the first such path), or
     None."""
+    ranks = net._ranks
     found = None
     for pos in sorted(ie_positions):
-        for arc in sorted(nf.sets[pos - 1], key=net.arc_key):
+        for arc in sorted(nf.sets[pos - 1],
+                          key=lambda a: (ranks[a[0]], ranks[a[1]])):
             for index, q in enumerate(reg.paths):
                 spots = {v: i for i, v in enumerate(q.vertices)}
                 if arc[0] in spots and arc[1] in spots \
@@ -338,7 +340,7 @@ def naive_st_paths(arcs, net: Network):
     for u, v in arcs:
         out.setdefault(u, []).append(v)
     for u in out:
-        out[u].sort(key=net.rank)
+        out[u].sort(key=net._ranks.__getitem__)
     trail = [SOURCE]
 
     def walk(u):
@@ -367,7 +369,7 @@ def naive_greedy_rainbow_tree(net: Network, nf: NetworkFamily):
             for arc in nf.sets[pos - 1]:
                 u, v = arc
                 if u in tree and v not in tree:
-                    key = (pos, net.arc_key(arc))
+                    key = (pos, net._ranks[u], net._ranks[v])
                     if best is None or key < best[0]:
                         best = (key, pos, arc)
         if best is None:

@@ -126,6 +126,7 @@ def test_negative_seed_still_parses(capsys, monkeypatch):
     ("gen", "--family", "drisko", "--n", "0"),
     ("search", "--conjecture", "c4.1", "--budget", "-5"),
     ("search", "--conjecture", "c4.1", "--budget", "-5", "--exhaustive"),
+    ("gen", "--family", "staircase", "--k", "0"),
 ])
 def test_out_of_range_parameters_exit_65(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -607,6 +608,49 @@ def test_network_inner_vertex_cap(tmp_path):
     assert proc.stdout == ""
     assert "at most 1024 inner vertices" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_member_count_caps(tmp_path, capsys):
+    # a bipartite instance needs members * (left + 1) row entries and a
+    # network instance members * (inner + 2)**2 mask bits; one member more
+    # than each cap allows is refused before anything is built
+    def bipartite(members):
+        path = tmp_path / f"inst{members}.json"
+        path.write_text(json.dumps({"left": 2 ** 16 - 1, "right": 1,
+                                    "sets": [[[1, 1]]] * members}))
+        return str(path)
+
+    def network(members):
+        inner = [f"v{i}" for i in range(1022)]
+        path = tmp_path / f"net{members}.json"
+        path.write_text(json.dumps({"inner": inner,
+                                    "sets": [[[inner[-1], "t"]]] * members}))
+        return str(path)
+
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"schema": "rainbow/1", "paths": [["s", "t"]],
+                                "assignment": {}}))
+    # 64 * 2**16 = 2**22 row entries and 256 * 1024**2 = 2**28 mask bits
+    code, out, _ = run_cli(capsys, "solve", "--input", bipartite(64),
+                           "--n", "32", "--k", "3")
+    assert code == 2 and json.loads(out)["hypothesis_failure"] == [1, 2, 3]
+    code, out, _ = run_cli(capsys, "check", "--input", bipartite(64),
+                           "--m", "64", "--k", "1", "--n", "1", "--q", "1")
+    assert code == 0 and out.startswith("holds\n")
+    code, out, _ = run_cli(capsys, "certify", "--input", network(256),
+                           "--regimentation", str(cert))
+    assert (code, out) == (1, "FAIL condition 1\n")
+    for argv, message in (
+            (("solve", "--input", bipartite(65), "--n", "32", "--k", "3"),
+             "members times (left + 1) may be at most 4194304"),
+            (("check", "--input", bipartite(65),
+              "--m", "65", "--k", "1", "--n", "1", "--q", "1"),
+             "members times (left + 1) may be at most 4194304"),
+            (("certify", "--input", network(257), "--regimentation", str(cert)),
+             "members times (inner + 2)**2 may be at most 268435456")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert message in err
 
 
 _NETWORK = {"inner": ["v"], "sets": [[["s", "v"], ["v", "t"]]]}

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from rainbowmatch import (BipartiteGraph, cooperative_condition,
-                          matching_number, rainbow_matching_max)
+                          max_matching, rainbow_matching_max)
 from rainbowmatch.generators import (drisko_family, random_cooperative_family,
                                      random_family, sharpness_family,
                                      staircase_family)
@@ -52,7 +52,7 @@ def test_drisko_family_examples():
     for seed in range(5):
         fam = drisko_family(2, seed)
         assert len(fam) == 3
-        assert all(matching_number(fam.graph, s) == 2 and len(s) == 2
+        assert all(len(max_matching(fam.graph, s)) == 2 and len(s) == 2
                    for s in fam.sets)
         assert rainbow_matching_max(fam)[0] == 2
 
@@ -69,7 +69,7 @@ def test_staircase_family_sizes():
     assert [len(s) for s in staircase_family(2, 3).sets] == [1, 2, 2]
     assert [len(s) for s in staircase_family(3, 9).sets] == [1, 2, 3, 3, 3]
     fam = staircase_family(3, 5)
-    assert all(matching_number(fam.graph, s) == len(s) for s in fam.sets)
+    assert all(len(max_matching(fam.graph, s)) == len(s) for s in fam.sets)
 
 
 def test_random_cooperative_family():

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -5,7 +6,8 @@ import pytest
 
 from rainbowmatch import (Network, NetworkFamily, Regimentation, StPath,
                           check_structure_lemmas, exhaustive_rainbow_path,
-                          find_regimentation, verify_regimentation)
+                          find_regimentation, regiment, verify_regimentation)
+from rainbowmatch.cli import main
 
 from rainbowmatch.network import _path_ranks
 from rainbowmatch.regiment import (_backward_mask, _least_backward_arc,
@@ -308,6 +310,44 @@ def test_structure_lemmas_backward_inessential_member():
     assert report.hypothesis_met
     assert report.backward_ok
     assert report.all_ok
+
+
+def test_structure_lemmas_report_failures_and_certify_exits_1(
+        monkeypatch, tmp_path, capsys):
+    # essential A = {sv, vt, st} and inessential B = {st} verify against
+    # the path s-v-t, but B alone is a rainbow path; with the search
+    # planted to find none, every lemma but counting must fail
+    nf = abstract_family(("v",), [{("s", "v"), ("v", "t"), ("s", "t")},
+                                  {("s", "t")}])
+    cert = Regimentation((StPath(("s", "v", "t")),), {1: 0})
+    assert verify_regimentation(nf.network, nf, cert) is None
+    monkeypatch.setattr(regiment, "exhaustive_rainbow_path", lambda net, nf: None)
+    report = check_structure_lemmas(nf.network, nf, cert)
+    assert report.hypothesis_met and report.counting_ok
+    assert (report.backward_ok, report.only_path_ok,
+            report.essential_iff_path_ok) == (False, False, False)
+    assert not report.all_ok
+    # A alone: no inessential member, so only A's own arc (s, t), outside
+    # its path, fails the backward lemma
+    alone = abstract_family(("v",), [{("s", "v"), ("v", "t"), ("s", "t")}])
+    report = check_structure_lemmas(alone.network, alone, cert)
+    assert (report.counting_ok, report.backward_ok, report.only_path_ok,
+            report.essential_iff_path_ok) == (True, False, False, True)
+
+    instance = tmp_path / "net.json"
+    instance.write_text(json.dumps(
+        {"inner": ["v"], "sets": [[["s", "v"], ["v", "t"], ["s", "t"]],
+                                  [["s", "t"]]]}))
+    certificate = tmp_path / "cert.json"
+    certificate.write_text(json.dumps(
+        {"schema": "rainbow/1", "paths": [["s", "v", "t"]],
+         "assignment": {"1": 0}}))
+    code = main(["certify", "--input", str(instance),
+                 "--regimentation", str(certificate)])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "PASS (1)(2)(3); counting OK, backward FAIL, only-path FAIL, "
+        "essential-iff-path FAIL\n")
 
 
 def test_structure_lemmas_require_verified_certificate():

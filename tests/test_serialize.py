@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import (BipartiteGraph, EdgeFamily, NetworkFamily,
+from rainbowmatch import (BipartiteGraph, EdgeFamily, Network, NetworkFamily,
                           RainbowMatching, Regimentation, StPath,
                           build_network)
 from rainbowmatch.generators import sharpness_family
@@ -232,6 +232,24 @@ def test_dot_output_is_deterministic():
     assert dot == network_dot(net)
     assert 'e_1_1 [shape=box, label="a1b1"]' in dot
     assert dot.endswith("}\n")
+
+
+def test_dot_of_a_labelled_network_dashes_its_backward_arc():
+    net = Network(inner=("u", "v"),
+                  arcs=[("s", "u"), ("u", "v"), ("v", "u"), ("v", "t")])
+    reg = Regimentation((StPath(("s", "u", "v", "t")),), {})
+    assert network_dot(net, reg) == (
+        'digraph network {\n'
+        '  rankdir=LR;\n'
+        '  s [shape=circle, label="s"];\n'
+        '  u [shape=box, label="u"];\n'
+        '  v [shape=box, label="v"];\n'
+        '  t [shape=circle, label="t"];\n'
+        '  s -> u;\n'
+        '  u -> v;\n'
+        '  v -> u [style=dashed, color=crimson, xlabel="backward"];\n'
+        '  v -> t;\n'
+        '}\n')
 
 
 def test_canonical_dump_has_lf_and_trailing_newline():
