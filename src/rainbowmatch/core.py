@@ -21,6 +21,15 @@ def _as_edge(e: Iterable[int]) -> Edge:
     return (a, b)
 
 
+def _trusted(cls, **fields):
+    """A cls instance holding fields, unchecked.  Public constructors check
+    what callers pass; values the package derived itself are built here,
+    and each call site says why its fields meet cls's invariants."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _require_ints(values: Iterable, what: str) -> None:
     """Refuse any value that is not an int: int() would read a float or a
     bool as another integer."""
@@ -70,23 +79,7 @@ class EdgeFamily:
     def __post_init__(self) -> None:
         sets = tuple(frozenset(_as_edge(e) for e in s) for s in self.sets)
         object.__setattr__(self, "sets", sets)
-        self._check_members()
-
-    @classmethod
-    def _of_int_pairs(cls, graph: BipartiteGraph,
-                      sets: tuple[frozenset[Edge], ...]) -> "EdgeFamily":
-        """A family whose members already are frozensets of (int, int)
-        pairs, as the instance reader, the random sampler and the search
-        build them from a graph's edges: the subset check runs, the per-edge
-        normalisation (a no-op on such input) does not."""
-        fam = object.__new__(cls)
-        object.__setattr__(fam, "graph", graph)
-        object.__setattr__(fam, "sets", sets)
-        fam._check_members()
-        return fam
-
-    def _check_members(self) -> None:
-        for idx, s in enumerate(self.sets, start=1):
+        for idx, s in enumerate(sets, start=1):
             if not s <= self.graph.edges:
                 raise ValueError(f"member {idx} uses edges outside the graph")
 
@@ -167,8 +160,13 @@ def _edge_table(g: BipartiteGraph) -> tuple[tuple[Edge, ...], dict[Edge, int],
     with that edge.  An edge mask over g is an int in these bits."""
     edges = tuple(sorted(g.edges))
     bits = {e: 1 << i for i, e in enumerate(edges)}
-    disjoint = tuple(sum(bit for (c, d), bit in bits.items() if c != a and d != b)
-                     for a, b in edges)
+    # per-vertex edge masks: an edge's entry is every edge off its two ends
+    at_a, at_b = [0] * (g.left_size + 1), [0] * (g.right_size + 1)
+    for (a, b), bit in bits.items():
+        at_a[a] |= bit
+        at_b[b] |= bit
+    full = (1 << len(edges)) - 1
+    disjoint = tuple(full & ~(at_a[a] | at_b[b]) for a, b in edges)
     return edges, bits, disjoint
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import compress
 
 from .core import (BipartiteGraph, EdgeFamily, _edge_table, _require_ints,
-                   cooperative_condition)
+                   _trusted, cooperative_condition)
 from .rng import SplitMix64
 
 # draws random_cooperative_family makes before it gives up
@@ -89,7 +89,8 @@ def random_family(graph: BipartiteGraph, members: int, rng: SplitMix64,
     """members edge subsets, each edge kept with probability permille/1000;
     a subset left empty gets one uniformly drawn edge instead."""
     edges = _edge_table(graph)[0]
-    return EdgeFamily._of_int_pairs(graph, tuple(
+    # each member is a subset of the graph's own edges
+    return _trusted(EdgeFamily, graph=graph, sets=tuple(
         frozenset(compress(edges, keep))
         for keep in _random_picks(graph, members, rng, permille)))
 

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator
 
-from .core import EdgeFamily, RainbowMatching, is_valid_rainbow
+from .core import EdgeFamily, RainbowMatching, _trusted, is_valid_rainbow
 
 SOURCE = "s"
 TARGET = "t"
@@ -66,15 +66,6 @@ class Network:
                 raise ValueError("no arc may leave the target")
         self.__dict__["mask"] = sum(1 << (ranks[u] * size + ranks[v]) for u, v in arcs)
 
-    @classmethod
-    def _from_mask(cls, inner: tuple, mask: int) -> "Network":
-        """The network over inner whose arcs are the set bits of mask,
-        unchecked: the caller derives mask from ranks and never sets a bit
-        into the source, out of the target or on the diagonal."""
-        net = object.__new__(cls)
-        net.__dict__.update(inner=inner, mask=mask)
-        return net
-
     @cached_property
     def vertices(self) -> tuple:
         return (SOURCE, *self.inner, TARGET)
@@ -107,9 +98,7 @@ class Network:
     def _path(self, ranks: Iterable[int]) -> "StPath":
         """The path through the vertices of the given ranks, unchecked:
         verify_rainbow_path and verify_regimentation check paths."""
-        path = object.__new__(StPath)
-        path.__dict__["vertices"] = tuple(map(self.vertices.__getitem__, ranks))
-        return path
+        return _trusted(StPath, vertices=tuple(map(self.vertices.__getitem__, ranks)))
 
 
 @lru_cache(maxsize=32)
@@ -238,15 +227,7 @@ class NetworkFamily:
                     f"member {idx} must be a nonnegative int mask, got {mask!r}")
             if mask & outside:
                 raise ValueError(f"member {idx} uses arcs outside the network")
-        return cls._over(network, masks, None)
-
-    @classmethod
-    def _over(cls, network: Network, masks: tuple,
-              origin: tuple | None) -> "NetworkFamily":
-        """A family over masks of network arcs, unchecked."""
-        nf = object.__new__(cls)
-        nf.__dict__.update(network=network, masks=masks, origin=origin)
-        return nf
+        return _trusted(cls, network=network, masks=masks, origin=None)
 
     @cached_property
     def sets(self) -> tuple:
@@ -318,6 +299,6 @@ def build_network(fam: EdgeFamily,
             mask |= powers[a_row[a] + b_rank[b]]
         masks.append(mask & off_diagonal)
     masks = tuple(masks)
-    net = Network._from_mask(inner, reduce(or_, masks, 0))
-    nf = NetworkFamily._over(net, masks, unrepresented)
-    return net, nf
+    # rank-built masks off the diagonal: no arc into s, out of t or a loop
+    net = _trusted(Network, inner=inner, mask=reduce(or_, masks, 0))
+    return net, _trusted(NetworkFamily, network=net, masks=masks, origin=unrepresented)

@@ -13,7 +13,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Mapping
 
-from .core import _kuhn, _require_ints
+from .core import _kuhn, _require_ints, _trusted
 from .network import (Network, NetworkFamily, StPath, _network_of,
                       _path_ranks, _rank_paths)
 
@@ -36,14 +36,6 @@ class RainbowStPath:
             raise ValueError("representation must cover every arc position")
         if len(set(rep.values())) != len(rep):
             raise ValueError("representation must use distinct members")
-
-    @classmethod
-    def _unchecked(cls, path: StPath, representation: dict) -> "RainbowStPath":
-        """An engine result, built without the checks above:
-        verify_rainbow_path is the one complete check."""
-        rp = object.__new__(cls)
-        rp.__dict__.update(path=path, representation=representation)
-        return rp
 
 
 def verify_rainbow_path(nf: NetworkFamily, rp: RainbowStPath) -> bool:
@@ -123,8 +115,9 @@ def greedy_rainbow_tree(net: Network, nf: NetworkFamily) -> RainbowStPath | Gree
         up, member = parent[ranks[-1]]
         reps_reversed.append(member)
         ranks.append(up)
-    return RainbowStPath._unchecked(net._path(reversed(ranks)),
-                                    dict(enumerate(reversed(reps_reversed))))
+    # unchecked, as in both engines: verify_rainbow_path is the one check
+    return _trusted(RainbowStPath, path=net._path(reversed(ranks)),
+                    representation=dict(enumerate(reversed(reps_reversed))))
 
 
 def exhaustive_rainbow_path(net: Network, nf: NetworkFamily) -> RainbowStPath | None:
@@ -181,10 +174,12 @@ def exhaustive_rainbow_path(net: Network, nf: NetworkFamily) -> RainbowStPath | 
             used |= low
             rep.append(low.bit_length() - 1)
         else:
-            return RainbowStPath._unchecked(net._path(ranks), dict(enumerate(rep)))
+            return _trusted(RainbowStPath, path=net._path(ranks),
+                            representation=dict(enumerate(rep)))
         # stalled: backtrack only when the Kuhn kernel finds distinct owners
         rep.clear()
         if (_kuhn([0, *rows], [0] * (len(masks) + 1), 0, arcs).bit_count() == arcs
                 and assign(rows, 0, 0)):
-            return RainbowStPath._unchecked(net._path(ranks), dict(enumerate(rep)))
+            return _trusted(RainbowStPath, path=net._path(ranks),
+                            representation=dict(enumerate(rep)))
     return None

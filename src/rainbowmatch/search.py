@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .core import (BipartiteGraph, EdgeFamily, _edge_table, _first_short_union,
                    _mask_rows, _rainbow_walk, _require_ints, _rows,
-                   max_matching, rainbow_matching_max)
+                   _trusted, max_matching, rainbow_matching_max)
 from .generators import _random_picks
 from .rng import SplitMix64
 
@@ -81,7 +81,8 @@ def doubled_family(fam: EdgeFamily) -> EdgeFamily:
     sets = tuple(
         s | frozenset((a + g.left_size, b + g.right_size) for a, b in s)
         for s in fam.sets)
-    return EdgeFamily._of_int_pairs(_doubled_graph(g), sets)
+    # a member of fam's graph and its copy both lie in the doubled graph
+    return _trusted(EdgeFamily, graph=_doubled_graph(g), sets=sets)
 
 
 def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
@@ -119,8 +120,6 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     def rainbow_size(masks) -> int | None:
         # None when masks fail the hypothesis, which puts the union's
         # matching number at needed or above: needed is the walk's ceiling
-        if any(mask >> width for mask in masks):
-            raise ValueError("a member uses edges outside the graph")
         rows = [_mask_rows(graph, bits, mask) for mask in masks]
         if _first_short_union(graph, rows, floors) is not None:
             return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import BipartiteGraph, Edge, EdgeFamily, RainbowMatching
+from .core import BipartiteGraph, Edge, EdgeFamily, RainbowMatching, _trusted
 from .network import SOURCE, TARGET, Network, NetworkFamily, StPath
 from .regiment import Regimentation, _backward_mask
 
@@ -160,7 +160,8 @@ def family_from_json(payload: Any) -> EdgeFamily:
         sets.append(frozenset(edges))
     try:
         graph = BipartiteGraph(left, right, frozenset().union(*sets))
-        return EdgeFamily._of_int_pairs(graph, tuple(sets))
+        # int pairs, checked above, and the graph is the members' union
+        return _trusted(EdgeFamily, graph=graph, sets=tuple(sets))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

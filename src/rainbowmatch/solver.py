@@ -312,6 +312,8 @@ def verify_arrow_statement(m: int, k: int, n: int, q: int,
         raise ValueError("members must be nonempty")
     if not 1 <= k <= m:
         raise ValueError(f"k must satisfy 1 <= k <= {m}")
+    if n < 1 or q < 0:
+        raise ValueError("need n >= 1 and q >= 0")
     failing = cooperative_condition(fam, k, n)
     if failing is not None:
         return ArrowCheck("hypothesis-failure", failing_indices=failing)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -82,6 +83,7 @@ def test_env_seed_must_be_an_integer(capsys, monkeypatch, value):
 
 
 _DRISKO2 = ("gen", "--family", "drisko", "--n", "2")
+_DRISKO3 = str(Path(__file__).parent / "data" / "drisko_n3_seed42.json")
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -127,6 +129,8 @@ def test_negative_seed_still_parses(capsys, monkeypatch):
     ("search", "--conjecture", "c4.1", "--budget", "-5"),
     ("search", "--conjecture", "c4.1", "--budget", "-5", "--exhaustive"),
     ("gen", "--family", "staircase", "--k", "0"),
+    ("check", "--input", _DRISKO3, "--m", "5", "--k", "1", "--n", "-5", "--q", "2"),
+    ("check", "--input", _DRISKO3, "--m", "5", "--k", "1", "--n", "2", "--q", "-2"),
 ])
 def test_out_of_range_parameters_exit_65(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -11,6 +11,7 @@ from rainbowmatch import (BipartiteGraph, EdgeFamily, RainbowMatching,
                           graded_union_condition, is_valid_rainbow,
                           max_matching, rainbow_matching_max, solve_main,
                           verify_arrow_statement)
+from rainbowmatch.core import _edge_table
 from rainbowmatch.generators import (drisko_family, random_cooperative_family,
                                      sharpness_family, staircase_family)
 from rainbowmatch.search import doubled_family
@@ -253,6 +254,27 @@ def test_rainbow_witness_matches_set_based_reference():
     for fam in families:
         for s in (*fam.sets, fam.union()):
             assert len(max_matching(fam.graph, s)) == brute_matching_number(s)
+
+
+def test_edge_table_disjoint_masks_match_their_definition():
+    # each entry is the mask of the edges sharing no vertex with its edge
+    rng = random.Random(41)
+    graphs = [BipartiteGraph(3, 5), BipartiteGraph.complete(1),
+              BipartiteGraph.complete(4, 7)]
+    for _ in range(60):
+        left, right = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.2, 0.5, 0.9))
+        graphs.append(BipartiteGraph(left, right, frozenset(
+            (a, b) for a in range(1, left + 1) for b in range(1, right + 1)
+            if rng.random() < density)))
+    for g in graphs:
+        edges, bits, disjoint = _edge_table(g)
+        assert edges == tuple(sorted(g.edges))
+        assert disjoint == tuple(
+            sum(bits[c, d] for c, d in edges if c != a and d != b)
+            for a, b in edges), g
+    assert _edge_table(graphs[0]) == ((), {}, ())
+    assert any(g.left_size != g.right_size and g.edges for g in graphs)
 
 
 def test_matching_number_still_validates_its_input():

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmatch import (BipartiteGraph, cooperative_condition,
+from rainbowmatch import (BipartiteGraph, EdgeFamily, cooperative_condition,
                           max_matching, rainbow_matching_max)
 from rainbowmatch.generators import (drisko_family, random_cooperative_family,
                                      random_family, sharpness_family,
@@ -117,6 +117,9 @@ def test_random_family_draws_what_the_set_sampler_draws():
                 fam = random_family(g, 1 + seed % 6, ours, permille)
                 assert fam.sets == set_random_family(g, 1 + seed % 6, theirs,
                                                      permille)
+                # built with core._trusted: the checked constructor agrees
+                checked = EdgeFamily(g, fam.sets)
+                assert fam == checked and hash(fam) == hash(checked)
                 assert ours._state == theirs._state
 
 

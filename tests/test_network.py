@@ -7,6 +7,7 @@ import rainbowmatch
 from rainbowmatch import (SOURCE, TARGET, BipartiteGraph, Network,
                           NetworkFamily, RainbowMatching, RainbowStPath,
                           StPath, build_network, has_st_path)
+from rainbowmatch.core import _trusted
 from rainbowmatch.network import _rank_paths
 from rainbowmatch.solver import (ConstructiveStall, _augment_via_path,
                                  _exchange, _witness)
@@ -103,7 +104,7 @@ def test_network_is_its_inner_vertices_and_one_mask():
     net = Network(inner=inner, arcs=arcs)
     assert net.arcs == arcs
     assert net.mask == sum(1 << (net._ranks[u] * 4 + net._ranks[v]) for u, v in arcs)
-    same = Network._from_mask(inner, net.mask)
+    same = _trusted(Network, inner=inner, mask=net.mask)
     assert same == net and hash(same) == hash(net)
     assert same.arcs == arcs
     for arc in arcs:
@@ -338,6 +339,9 @@ def test_build_network_matches_naive_reference():
             continue
         rm = _random_rainbow_matching(fam, rng)
         net, nf = build_network(fam, rm)
+        # built with core._trusted: the checked constructors agree
+        assert net == Network(inner=net.inner, arcs=net.arcs)
+        assert nf.masks == NetworkFamily(net, nf.sets).masks
         inner, sets, preimages, origin = naive_build_network(fam, rm)
         assert net.inner == inner
         assert nf.sets == sets

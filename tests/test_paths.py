@@ -13,6 +13,7 @@ from rainbowmatch import (BipartiteGraph, GreedyStuck, Network,
                           exhaustive_rainbow_path, find_regimentation,
                           greedy_rainbow_tree, has_st_path,
                           verify_rainbow_path, verify_regimentation)
+from rainbowmatch.core import _trusted
 from rainbowmatch.solver import _exchange
 
 from .helpers import (abstract_family, all_arcs_over, arc_union,
@@ -62,10 +63,10 @@ def _spine_family():
 ])
 def test_verifier_refuses_malformed_results(ranks, rep):
     nf = _spine_family()
-    good = RainbowStPath._unchecked(nf.network._path((0, 1, 2, 3)),
-                                    {0: 3, 1: 2, 2: 1})
+    good = _trusted(RainbowStPath, path=nf.network._path((0, 1, 2, 3)),
+                    representation={0: 3, 1: 2, 2: 1})
     assert verify_rainbow_path(nf, good)
-    bad = RainbowStPath._unchecked(nf.network._path(ranks), rep)
+    bad = _trusted(RainbowStPath, path=nf.network._path(ranks), representation=rep)
     assert not verify_rainbow_path(nf, bad)
 
 
@@ -75,7 +76,7 @@ def test_verifier_refuses_vertices_outside_the_network():
     wider = abstract_family(("u", "w", "v"), [{("s", "u")}]).network
     for ranks, rep in (((0, 1, 2, 4), {0: 3, 1: 2, 2: 1}),
                        ((0, 2, 4), {0: 3, 1: 1})):
-        bad = RainbowStPath._unchecked(wider._path(ranks), rep)
+        bad = _trusted(RainbowStPath, path=wider._path(ranks), representation=rep)
         assert bad.path.vertices[-1] == "t"
         assert not verify_rainbow_path(nf, bad)
 
@@ -337,8 +338,9 @@ def test_mask_engines_match_naive_references():
         assert greedy == naive_greedy_rainbow_tree(net, nf), members
         exhaustive = exhaustive_rainbow_path(net, nf)
         assert exhaustive == naive_exhaustive_rainbow_path(net, nf), members
-        # the engines build their results unchecked: each must equal the
-        # validated public construction and pass the one complete check
+        # the engines build their results with core._trusted: each must
+        # equal the checked public construction and pass the one complete
+        # check
         for found in (greedy, exhaustive):
             if isinstance(found, RainbowStPath):
                 assert found == RainbowStPath(StPath(found.path.vertices),

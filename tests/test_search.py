@@ -48,6 +48,9 @@ def test_graded_union_condition_matches_definition():
 def test_doubled_family_structure():
     fam = family_on(K22, {(1, 1), (2, 2)})
     doubled = doubled_family(fam)
+    # built with core._trusted: the checked constructor agrees
+    checked = EdgeFamily(search._doubled_graph(K22), doubled.sets)
+    assert doubled == checked and hash(doubled) == hash(checked)
     assert doubled.graph.left_size == doubled.graph.right_size == 4
     assert doubled.sets[0] == {(1, 1), (2, 2), (3, 3), (4, 4)}
     # three disjoint perfect-matching members admit a full rainbow matching

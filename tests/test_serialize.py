@@ -86,9 +86,9 @@ def _random_payload(rng):
 
 
 def test_reader_matches_public_constructors():
-    # the reader builds its family through a private constructor that
-    # skips the per-edge normalisation; the result must be the family the
-    # public constructors build from the same JSON edges
+    # the reader builds its family with core._trusted, skipping the
+    # constructor's checks; the result must be the family the public
+    # constructors build from the same JSON edges
     rng = random.Random(20260)
     duplicates = empties = 0
     for _ in range(400):

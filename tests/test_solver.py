@@ -359,4 +359,8 @@ def test_verify_arrow_statement_errors():
         verify_arrow_statement(2, 1, 2, 2, family_on(K22, {(1, 1)}, set()))
     with pytest.raises(ValueError):
         verify_arrow_statement(2, 3, 2, 2, fam)  # k out of range
+    with pytest.raises(ValueError):
+        verify_arrow_statement(2, 1, -5, 2, fam)  # n below 1
+    with pytest.raises(ValueError):
+        verify_arrow_statement(2, 1, 2, -2, fam)  # q below 0
 
