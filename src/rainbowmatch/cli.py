@@ -33,9 +33,9 @@ from .generators import drisko_family, sharpness_family, staircase_family
 from .network import build_network
 from .regiment import check_structure_lemmas, verify_regimentation
 from .search import TARGETS, conjecture_search
-from .serialize import (SCHEMA, CertificateError, ParseError, _json_loads,
-                        dumps_canonical, family_dumps, family_to_json,
-                        load_instance, matching_certificate,
+from .serialize import (_MAX_ROWS, SCHEMA, CertificateError, ParseError,
+                        _json_loads, dumps_canonical, family_dumps,
+                        family_to_json, load_instance, matching_certificate,
                         matching_from_certificate, network_dot,
                         regimentation_from_certificate)
 from .solver import (HypothesisFailure, ViolationReport, solve_main,
@@ -132,21 +132,33 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     # each family takes two of --n, --k and --seed
-    ignored = {"sharpness": "seed", "drisko": "k", "staircase": "n"}[args.family]
+    family, n, k = args.family, args.n, args.k
+    ignored = {"sharpness": "seed", "drisko": "k", "staircase": "n"}[family]
     if getattr(args, ignored) is not None:
-        raise ParseError(f"gen {args.family} does not take --{ignored}")
-    if args.family == "sharpness":
-        if args.n is None or args.k is None:
+        raise ParseError(f"gen {family} does not take --{ignored}")
+    if family == "sharpness":
+        if n is None or k is None:
             raise ParseError("gen sharpness needs --n and --k")
-        _, fam = sharpness_family(args.n, args.k)
-    elif args.family == "drisko":
-        if args.n is None:
+        side, members = n, 2 * n + k - 4
+    elif family == "drisko":
+        if n is None:
             raise ParseError("gen drisko needs --n")
-        fam = drisko_family(args.n, _seed(args))
+        side, members, seed = n, 2 * n - 1, _seed(args)
     else:
-        if args.k is None:
+        if k is None:
             raise ParseError("gen staircase needs --k")
-        fam = staircase_family(args.k, _seed(args))
+        side, members, seed = k, 2 * k - 1, _seed(args)
+    # the reader refuses such a file, and building it runs out of memory
+    if side > 0 and members * (side + 1) > _MAX_ROWS:
+        raise ValueError(f"gen {family} would write {members} members over a "
+                         f"side of {side}; members times (side + 1) may be "
+                         f"at most {_MAX_ROWS}")
+    if family == "sharpness":
+        _, fam = sharpness_family(n, k)
+    elif family == "drisko":
+        fam = drisko_family(n, seed)
+    else:
+        fam = staircase_family(k, seed)
     print(family_dumps(fam), end="")
     return EXIT_OK
 
@@ -197,7 +209,7 @@ def _cmd_search(args) -> int:
 def _cmd_export_dot(args) -> int:
     fam = _load_family(args.input)
     rm = matching_from_certificate(_load_certificate(args.matching))
-    net, _ = build_network(fam, rm)
+    net = build_network(fam, rm).network
     reg = None
     if args.regimentation:
         reg = regimentation_from_certificate(

@@ -218,6 +218,32 @@ def _kuhn(rows: list[int], owner: list[int], matched: int, goal: int) -> int:
     return matched
 
 
+def _least_owners(rows: list[int]) -> list[int] | None:
+    """The lexicographically least distinct owners of rows (masks over
+    owner positions from 1), or None when there are none: each row in
+    turn takes its least unused owner with which _kuhn still finds
+    distinct owners for every later row."""
+    width = max(rows).bit_length()
+
+    def fits(j: int, used: int) -> bool:   # rows j.. have distinct owners not in used
+        later = len(rows) - j
+        rest = [0] + [row & ~used for row in rows[j:]]
+        return _kuhn(rest, [0] * width, 0, later).bit_count() == later
+
+    if not fits(0, 0):
+        return None
+    picked, used = [], 0
+    for j, row in enumerate(rows, start=1):
+        free = row & ~used
+        low = free & -free
+        while free != low and not fits(j, used | low):   # the last one fits
+            free ^= low
+            low = free & -free
+        used |= low
+        picked.append(low.bit_length() - 1)
+    return picked
+
+
 def _first_short_union(g: BipartiteGraph, rows: list[list[int]],
                        floors: tuple[int, ...]) -> tuple[int, ...] | None:
     """First index set K with nu(union K) < floors[|K| - 1], or None, for

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from .core import _require_ints
 from .network import Network, NetworkFamily, _mask_has_path, _network_of
 from .paths import RainbowStPath, exhaustive_rainbow_path
 from .regiment import Regimentation, find_regimentation
@@ -61,8 +62,7 @@ def dichotomy(net: Network, nf: NetworkFamily, k: int
     The two outcomes are not mutually exclusive; the path branch is tried
     first because it is the cheap, useful one.
     """
-    if type(k) is not int:
-        raise ValueError(f"a size parameter must be an int, got {k!r}")
+    _require_ints((k,), "a size parameter")
     if k < 1:
         raise ValueError("need k >= 1")
     net = _network_of(net, nf)

@@ -102,7 +102,7 @@ def random_cooperative_family(n: int, k: int, graph: BipartiteGraph,
     every k-union has matching number at least n; None when all _ATTEMPTS
     draws fail.  Deterministic per seed."""
     _require_ints((n, k), "a size parameter")
-    if type(density) is bool or not 0 <= density <= 1:
+    if type(density) not in (int, float) or not 0 <= density <= 1:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
     rng = SplitMix64(seed)
     permille = round(density * 1000)

@@ -266,9 +266,9 @@ def has_st_path(arcs: Iterable, source=SOURCE, target=TARGET) -> bool:
     return False
 
 
-def build_network(fam: EdgeFamily,
-                  rm: RainbowMatching) -> tuple[Network, NetworkFamily]:
-    """Build the network over rm's matching for the unrepresented members.
+def build_network(fam: EdgeFamily, rm: RainbowMatching) -> NetworkFamily:
+    """The unrepresented members as a family over the network of rm's
+    matching; the network is the family's .network.
 
     The inner vertices are exactly the matching's edges.  Every non-matching
     edge of an unrepresented member becomes an arc: matched endpoints point
@@ -301,4 +301,4 @@ def build_network(fam: EdgeFamily,
     masks = tuple(masks)
     # rank-built masks off the diagonal: no arc into s, out of t or a loop
     net = _trusted(Network, inner=inner, mask=reduce(or_, masks, 0))
-    return net, _trusted(NetworkFamily, network=net, masks=masks, origin=unrepresented)
+    return _trusted(NetworkFamily, network=net, masks=masks, origin=unrepresented)

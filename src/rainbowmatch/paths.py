@@ -2,8 +2,9 @@
 
 Two engines: a greedy rainbow tree that is complete whenever the family
 has inner-count + k members and every k-union contains a source-target
-path, and an exact search (least-owner pass, Hall and Kuhn gate,
-equal-mask pruning) used to certify that no rainbow path exists.
+path, and an exact search (Hall's count, a least-owner pass, then the
+Kuhn-checked least owners after a stall) used to certify that no rainbow
+path exists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Mapping
 
-from .core import _kuhn, _require_ints, _trusted
+from .core import _least_owners, _require_ints, _trusted
 from .network import (Network, NetworkFamily, StPath, _network_of,
                       _path_ranks, _rank_paths)
 
@@ -131,29 +132,8 @@ def exhaustive_rainbow_path(net: Network, nf: NetworkFamily) -> RainbowStPath | 
     size = net._size
     masks = nf.masks
     owners: dict[int, int] = {}   # arc bit -> mask of owning member positions
-    rep: list[int] = []
-
-    def assign(rows: list[int], j: int, used: int) -> bool:
-        # members with equal masks can swap places in any completion, so
-        # a mask that failed at arc j is not tried there again
-        if j == len(rows):
-            return True
-        free = rows[j] & ~used
-        failed = []
-        while free:
-            low = free & -free
-            free ^= low
-            pos = low.bit_length() - 1
-            if masks[pos - 1] not in failed:
-                rep.append(pos)
-                if assign(rows, j + 1, used | low):
-                    return True
-                failed.append(masks[rep.pop() - 1])
-        return False
-
     for ranks in _rank_paths(reduce(or_, masks, 0), size):
-        rows = []
-        anyone = 0
+        rows, anyone = [], 0
         for u, v in zip(ranks, ranks[1:]):
             bit = 1 << (u * size + v)
             own = owners.get(bit)
@@ -162,24 +142,17 @@ def exhaustive_rainbow_path(net: Network, nf: NetworkFamily) -> RainbowStPath | 
                                          enumerate(masks, start=1) if m & bit])
             rows.append(own)
             anyone |= own
-        arcs = len(rows)
-        if anyone.bit_count() < arcs:   # Hall's count
+        if anyone.bit_count() < len(rows):   # Hall's count
             continue
-        rep.clear()
-        used = 0
+        rep, used = [], 0
         for own in rows:   # each arc takes its least unused owner
             low = own & ~used & -(own & ~used)
-            if not low:
+            if not low:   # stalled: the Kuhn kernel decides the least owners
+                rep = _least_owners(rows)
                 break
             used |= low
             rep.append(low.bit_length() - 1)
-        else:
-            return _trusted(RainbowStPath, path=net._path(ranks),
-                            representation=dict(enumerate(rep)))
-        # stalled: backtrack only when the Kuhn kernel finds distinct owners
-        rep.clear()
-        if (_kuhn([0, *rows], [0] * (len(masks) + 1), 0, arcs).bit_count() == arcs
-                and assign(rows, 0, 0)):
+        if rep is not None:
             return _trusted(RainbowStPath, path=net._path(ranks),
                             representation=dict(enumerate(rep)))
     return None

@@ -119,7 +119,7 @@ def _constructive(fam: EdgeFamily, k: int, n: int,
         steps += 1
         if steps > budget:
             raise ConstructiveStall(f"iteration budget {budget} exhausted")
-        _, nf = build_network(fam, rm)
+        nf = build_network(fam, rm)
         found = path_or_certificate(nf)
         try:
             if isinstance(found, RainbowStPath):

@@ -131,6 +131,11 @@ def test_negative_seed_still_parses(capsys, monkeypatch):
     ("gen", "--family", "staircase", "--k", "0"),
     ("check", "--input", _DRISKO3, "--m", "5", "--k", "1", "--n", "-5", "--q", "2"),
     ("check", "--input", _DRISKO3, "--m", "5", "--k", "1", "--n", "2", "--q", "-2"),
+    # members times (side + 1) above the reader's 2**22 row entries
+    ("gen", "--family", "sharpness", "--n", "1500", "--k", "2"),
+    ("gen", "--family", "sharpness", "--n", "2", "--k", "1180591620717411303424"),
+    ("gen", "--family", "staircase", "--k", "1180591620717411303424"),
+    ("gen", "--family", "drisko", "--n", "1180591620717411303424"),
 ])
 def test_out_of_range_parameters_exit_65(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -84,6 +84,14 @@ def test_random_cooperative_family():
     assert random_cooperative_family(3, 2, g, seed=1) is None
 
 
+@pytest.mark.parametrize("density", ["0.5", None])
+def test_random_cooperative_family_refuses_a_density_that_is_no_number(density):
+    # the range comparison raised TypeError on these
+    with pytest.raises(ValueError, match="density must lie"):
+        random_cooperative_family(2, 2, BipartiteGraph.complete(2),
+                                  density=density)
+
+
 def test_random_family_refuses_an_edgeless_graph():
     edgeless = BipartiteGraph(2, 2, frozenset())
     with pytest.raises(ValueError, match="no edges to draw from"):

@@ -143,7 +143,8 @@ def test_build_network_four_cases():
     # one matched edge; the other member's edges hit all remaining cases
     fam = family_on(K22, {(1, 1)}, {(1, 2), (2, 1), (2, 2)})
     rm = RainbowMatching({1: (1, 1)})
-    net, nf = build_network(fam, rm)
+    nf = build_network(fam, rm)
+    net = nf.network
     assert net.inner == ((1, 1),)
     assert net.arcs == {((1, 1), "t"), ("s", (1, 1)), ("s", "t")}
     assert nf.origin == (2,)
@@ -155,19 +156,20 @@ def test_build_network_four_cases():
 def test_build_network_matched_to_matched():
     fam = family_on(K33, {(1, 1)}, {(2, 2)}, {(1, 2)})
     rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
-    _, nf = build_network(fam, rm)
+    nf = build_network(fam, rm)
     assert nf.sets[0] == {((1, 1), (2, 2))}
 
 
 def test_build_network_trivial_cases():
     fam = family_on(K22, {(1, 1)})
-    net, nf = build_network(fam, RainbowMatching({}))
+    nf = build_network(fam, RainbowMatching({}))
+    net = nf.network
     assert net.inner == ()
     assert nf.sets[0] == {("s", "t")}
 
     # member holding only matching edges maps to the empty arc set
     fam = family_on(K22, {(1, 1)}, {(1, 1)})
-    _, nf = build_network(fam, RainbowMatching({1: (1, 1)}))
+    nf = build_network(fam, RainbowMatching({1: (1, 1)}))
     assert nf.sets[0] == frozenset()
 
 
@@ -180,7 +182,7 @@ def test_build_network_rejects_foreign_matching():
 def _translated(fam, graph, rm, path, rep):
     """The step _augment_via_path takes: the least witness of each arc and
     the result of augmenting along them."""
-    _, nf = build_network(fam, rm)
+    nf = build_network(fam, rm)
     p = StPath(path)
     edges = [_witness(fam, nf.origin[rep[j] - 1], arc, rm)
              for j, arc in enumerate(p.arcs)]
@@ -291,7 +293,7 @@ def test_round_trip_path_existence():
             member = frozenset(e for e in edges if rng.random() < 0.4)
             sets = tuple(frozenset({e}) for e in sorted(matched)) + (member,)
             fam = family_on(K33, *sets)
-            net, nf = build_network(fam, rm)
+            nf = build_network(fam, rm)
             pos = len(nf)  # the free member is always last
             network_side = has_st_path(nf.sets[pos - 1], SOURCE, TARGET)
             graph_side = has_augmenting_path(member, matched)
@@ -338,7 +340,8 @@ def test_build_network_matches_naive_reference():
         if fam is None:
             continue
         rm = _random_rainbow_matching(fam, rng)
-        net, nf = build_network(fam, rm)
+        nf = build_network(fam, rm)
+        net = nf.network
         # built with core._trusted: the checked constructors agree
         assert net == Network(inner=net.inner, arcs=net.arcs)
         assert nf.masks == NetworkFamily(net, nf.sets).masks

@@ -365,8 +365,8 @@ def _first_pass_holds(nf, rp) -> bool:
 
 
 def test_exhaustive_matches_naive_on_repeated_members():
-    # repeated members are interchangeable: the engine prunes them, the
-    # naive product over owners does not
+    # repeated members are interchangeable: the naive product over owners
+    # tries each copy, the engine's Kuhn-checked least owners need not
     rng = random.Random(31)
     outcomes = set()
     for _ in range(2000):
@@ -424,4 +424,15 @@ def test_exhaustive_search_is_not_factorial():
     equal = abstract_family(inner, [set(spine)] + [set(spine[:8])] * 8)
     out, calls = _profiled(exhaustive_rainbow_path, equal.network, equal)
     assert out.representation == {**{j: j + 2 for j in range(8)}, 8: 1}
+    assert calls < 1000
+    # the same stall with members 2-8 told apart by one back arc each: no
+    # two masks are equal, and a backtracking search over owner orders
+    # makes about 80,000 calls
+    unequal = abstract_family(inner, [set(spine)]
+                              + [{*spine[:8], (inner[j], "v0")}
+                                 for j in range(1, 8)]
+                              + [set(spine[:8])])
+    out, calls = _profiled(exhaustive_rainbow_path, unequal.network, unequal)
+    assert out.representation == {0: 2, 1: 3, 2: 4, 3: 5, 4: 6, 5: 7, 6: 8,
+                                  7: 9, 8: 1}
     assert calls < 1000

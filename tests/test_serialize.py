@@ -227,7 +227,7 @@ def test_dot_output_is_deterministic():
                                   "sets": [[[1, 1]], [[2, 1], [1, 2]]]})).graph,
         (frozenset({(1, 1)}), frozenset({(2, 1), (1, 2)})))
     rm = RainbowMatching({1: (1, 1)})
-    net, _ = build_network(fam, rm)
+    net = build_network(fam, rm).network
     dot = network_dot(net)
     assert dot == network_dot(net)
     assert 'e_1_1 [shape=box, label="a1b1"]' in dot

@@ -212,9 +212,9 @@ def test_solve_rounds_never_build_the_arc_view(monkeypatch):
     built = []
 
     def spy(fam, rm):
-        net, nf = build_network(fam, rm)
-        built.append(net)
-        return net, nf
+        nf = build_network(fam, rm)
+        built.append(nf.network)
+        return nf
 
     monkeypatch.setattr(solver, "build_network", spy)
     trail = []
@@ -246,7 +246,8 @@ def test_modes_agree_on_random_instances():
 def _state(graph, sets, assignment, n):
     fam = EdgeFamily(graph, tuple(frozenset(s) for s in sets))
     rm = RainbowMatching(assignment)
-    net, nf = build_network(fam, rm)
+    nf = build_network(fam, rm)
+    net = nf.network
     assert exhaustive_rainbow_path(net, nf) is None
     reg = find_regimentation(net, nf)
     assert reg is not None
@@ -321,7 +322,8 @@ def test_regimented_step_direct_branch():
         {(3, 1), (1, 2), (2, 3)},
         {(2, 1), (3, 3)}])))
     rm = RainbowMatching({1: (1, 1), 2: (2, 2)})
-    net, nf = build_network(fam, rm)
+    nf = build_network(fam, rm)
+    net = nf.network
     reg = brute_regimentation(net, nf)
     assert reg is not None
     drop, add, event = _regimented_step(fam, 3, rm, nf, reg)
