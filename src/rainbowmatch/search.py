@@ -29,12 +29,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (BipartiteGraph, EdgeFamily, _edge_table, _first_short_union,
-                   _mask_rows, _rainbow_walk, _require_ints, _rows,
+                   _kuhn, _mask_rows, _rainbow_walk, _require_ints, _rows,
                    _trusted, max_matching, rainbow_matching_max)
 from .generators import _random_picks
 from .rng import SplitMix64
+from .serialize import _MAX_MASK_BITS
 
 TARGETS = ("c4.1", "c4.3")
+
+# the most unions one _nu_table stores; a miss past it is computed, not stored
+_TABLE_CAP = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,33 @@ def _doubled_graph(g: BipartiteGraph) -> BipartiteGraph:
         g.edges | frozenset((a + g.left_size, b + g.right_size) for a, b in g.edges))
 
 
+@lru_cache(maxsize=8)
+def _nu_table(g: BipartiteGraph, goal: int) -> dict[int, int]:
+    """min(nu(mask), goal) by edge mask over g (in _edge_table bits), for
+    the unions the search has met; at most _TABLE_CAP entries."""
+    return {}
+
+
+def _hypothesis_holds(masks: list[int], floors: tuple[int, ...], nu) -> bool:
+    """Whether nu(union K) >= floors[|K| - 1] for every index set K of at
+    most len(floors) members (floors positive and nondecreasing; nu gives a
+    union mask's matching number capped at floors[-1]).  The walk is
+    core._first_short_union's: depth-first and lexicographic, stopping at
+    the first short union, and not extending a prefix at the last floor."""
+    goal, last = floors[-1], len(floors) - 1
+
+    def short(start: int, depth: int, union: int) -> bool:
+        for i in range(start, len(masks)):
+            grown = union | masks[i]
+            size = nu(grown)
+            if size < floors[depth] or (size < goal and depth < last
+                                        and short(i + 1, depth + 1, grown)):
+                return True
+        return False
+
+    return not short(0, 0, 0)
+
+
 def doubled_family(fam: EdgeFamily) -> EdgeFamily:
     """Each member unioned with its own copy on a disjoint vertex copy."""
     g = fam.graph
@@ -93,7 +124,12 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     Exhaustive mode enumerates all multisets of 2k-1 nonempty edge subsets
     of the graph (the checked statements are invariant under member order);
     it refuses spaces larger than the budget.  Sampling mode draws budget
-    seeded random families.  Instances run as edge masks (_edge_table); a
+    seeded random families.  Instances run as edge masks (_edge_table).  The
+    hypothesis walks each instance's unions as single masks, reading each
+    union's matching number, capped at k, from the graph's _nu_table (at
+    most _TABLE_CAP entries; a miss is one Kuhn run stopped at k).  A graph
+    whose edge table would pass _MAX_MASK_BITS bits (edges squared, on the
+    doubled graph for c4.3) is refused before anything is built.  A
     counterexample found becomes an EdgeFamily, re-verified through the
     public functions before it is returned.
     """
@@ -104,11 +140,20 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
         raise ValueError("need k >= 1")
     if budget < 0:
         raise ValueError("need budget >= 0")
+    side = 2 if exhaustive else k + 1
+    edges = side * side if graph is None else len(graph.edges)
+    if target == "c4.3":
+        edges *= 2
+    if edges * edges > _MAX_MASK_BITS:
+        # no count goes in the message: past 4300 digits str() refuses it
+        raise ValueError(f"the {target} search's edge table (edges squared "
+                         f"bits) would pass {_MAX_MASK_BITS} bits")
     if graph is None:
-        graph = BipartiteGraph.complete(2 if exhaustive else k + 1)
+        graph = BipartiteGraph.complete(side)
     members = 2 * k - 1
     _, bits, disjoint = _edge_table(graph)
     powers, width = tuple(bits.values()), len(bits)
+    table, blank = _nu_table(graph, k), [0] * (graph.right_size + 1)
     if target == "c4.1":
         floors, needed, shift = tuple(range(1, k + 1)), k, 0
     else:
@@ -117,11 +162,18 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
         floors, needed, shift = (k,), members, width
         disjoint = _edge_table(_doubled_graph(graph))[2]
 
+    def nu(mask: int) -> int:
+        size = table.get(mask)
+        if size is None:
+            size = _kuhn(_mask_rows(graph, bits, mask), blank.copy(), 0, k).bit_count()
+            if len(table) < _TABLE_CAP:
+                table[mask] = size
+        return size
+
     def rainbow_size(masks) -> int | None:
         # None when masks fail the hypothesis, which puts the union's
         # matching number at needed or above: needed is the walk's ceiling
-        rows = [_mask_rows(graph, bits, mask) for mask in masks]
-        if _first_short_union(graph, rows, floors) is not None:
+        if not _hypothesis_holds(masks, floors, nu):
             return None
         if shift:
             masks = [mask | mask << shift for mask in masks]
@@ -130,12 +182,13 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     instances = 0
     passed = 0
     if exhaustive:
-        subsets = [sum(c) for size in range(1, width + 1)
-                   for c in itertools.combinations(powers, size)]
-        space = math.comb(len(subsets) + members - 1, members)
+        # 2**width - 1 nonempty subsets, counted before any is built
+        space = math.comb((1 << width) + members - 2, members)
         if space > budget:
             raise ValueError(
                 f"exhaustive space has {space} multisets, above the budget {budget}")
+        subsets = [sum(c) for size in range(1, width + 1)
+                   for c in itertools.combinations(powers, size)]
         draws = itertools.combinations_with_replacement(subsets, members)
     else:
         rng = SplitMix64(seed)

@@ -34,7 +34,8 @@ _MAX_INNER = 2 ** 10
 # the most row entries a bipartite instance may need: the hypothesis check
 # builds one row list of left + 1 entries per member
 _MAX_ROWS = 2 ** 22
-# the most mask bits a network instance may need: (inner + 2)**2 per member
+# the most mask bits a network instance may need: (inner + 2)**2 per member;
+# conjecture_search refuses an edge table (edges squared bits) past it too
 _MAX_MASK_BITS = 2 ** 28
 
 

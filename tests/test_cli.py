@@ -136,6 +136,9 @@ def test_negative_seed_still_parses(capsys, monkeypatch):
     ("gen", "--family", "sharpness", "--n", "2", "--k", "1180591620717411303424"),
     ("gen", "--family", "staircase", "--k", "1180591620717411303424"),
     ("gen", "--family", "drisko", "--n", "1180591620717411303424"),
+    # an edge table past 2**28 bits: the doubled K_{3001,3001}, and K_{129,129}
+    ("search", "--conjecture", "c4.3", "--k", "3000", "--budget", "0"),
+    ("search", "--conjecture", "c4.1", "--k", "128", "--budget", "0"),
 ])
 def test_out_of_range_parameters_exit_65(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

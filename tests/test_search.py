@@ -172,6 +172,110 @@ def test_search_counts_are_pinned_across_graphs(target, k):
     assert tuple(counts) == SAMPLED_PASSES[target, k]
 
 
+def _mask_edges(g, mask):
+    edges = _edge_table(g)[0]
+    return frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+
+
+def _reference_verdict(target, g, masks, k):
+    fam = EdgeFamily(g, tuple(_mask_edges(g, mask) for mask in masks))
+    if target == "c4.1":
+        return graded_union_condition(fam, k)
+    return all(len(max_matching(g, s)) >= k for s in fam.sets)
+
+
+def record_verdicts(monkeypatch):
+    """Wrap the search's hypothesis walk; the list gets (masks, verdict)
+    for every instance the search checks."""
+    seen, walk = [], search._hypothesis_holds
+
+    def recorded(masks, floors, nu):
+        verdict = walk(masks, floors, nu)
+        seen.append((list(masks), verdict))
+        return verdict
+
+    monkeypatch.setattr(search, "_hypothesis_holds", recorded)
+    return seen
+
+
+THINNED = BipartiteGraph(3, 3, frozenset({(1, 1), (1, 2), (2, 1), (2, 3), (3, 2),
+                                          (3, 3)}))
+
+
+@pytest.mark.parametrize("target", search.TARGETS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_memoized_hypothesis_matches_its_references(monkeypatch, target, k):
+    # the verdicts against the public checks, the stored values against the
+    # brute-force matching number, capped at the goal k
+    search._nu_table.cache_clear()
+    seen = record_verdicts(monkeypatch)
+    graphs = (BipartiteGraph.complete(2, 3), BipartiteGraph.complete(3),
+              BipartiteGraph.complete(3, 4), THINNED)
+    for g in graphs:
+        for seed in (4, 31):
+            seen.clear()
+            result = conjecture_search(target, k=k, graph=g, budget=40, seed=seed)
+            assert not result.found and len(seen) == result.instances == 40
+            for masks, verdict in seen:
+                assert verdict == _reference_verdict(target, g, masks, k), masks
+            assert result.hypothesis_passed == sum(v for _, v in seen)
+        table = search._nu_table(g, k)
+        assert table
+        for mask, size in table.items():
+            assert size == min(brute_matching_number(_mask_edges(g, mask)), k)
+    search._nu_table.cache_clear()
+
+
+@pytest.mark.parametrize("target", search.TARGETS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_exhaustive_memoized_hypothesis_matches_its_references(monkeypatch,
+                                                               target, k):
+    seen = record_verdicts(monkeypatch)
+    result = conjecture_search(target, k=k, graph=K22, budget=10_000, exhaustive=True)
+    subsets = [sum(c) for r in range(1, 5) for c in itertools.combinations((1, 2, 4, 8), r)]
+    multisets = list(itertools.combinations_with_replacement(subsets, 2 * k - 1))
+    assert [tuple(masks) for masks, _ in seen] == multisets
+    verdicts = [_reference_verdict(target, K22, masks, k) for masks in multisets]
+    assert [v for _, v in seen] == verdicts
+    assert (result.instances, result.hypothesis_passed) == (len(multisets), sum(verdicts))
+
+
+@pytest.mark.parametrize("target", search.TARGETS)
+def test_matching_number_table_stores_at_most_its_cap(monkeypatch, target):
+    K33 = BipartiteGraph.complete(3)
+    search._nu_table.cache_clear()
+    full = conjecture_search(target, k=2, graph=K33, budget=200, seed=5)
+    assert len(search._nu_table(K33, 2)) > 5
+    search._nu_table.cache_clear()
+    monkeypatch.setattr(search, "_TABLE_CAP", 5)
+    capped = conjecture_search(target, k=2, graph=K33, budget=200, seed=5)
+    assert len(search._nu_table(K33, 2)) == 5
+    assert (capped.instances, capped.hypothesis_passed) == \
+        (full.instances, full.hypothesis_passed)
+    search._nu_table.cache_clear()
+
+
+def test_search_refuses_an_edge_table_past_the_mask_bound(monkeypatch):
+    # refused before any graph is built: K_{k+1,k+1} at k = 10**30 would
+    # not fit in memory
+    for target in search.TARGETS:
+        with pytest.raises(ValueError, match="edge table"):
+            conjecture_search(target, k=10 ** 30, budget=0)
+    # edges squared bits, counted on the doubled graph for c4.3: with the
+    # bound at 18**2, K_{3,3} doubles to exactly 18 edges
+    monkeypatch.setattr(search, "_MAX_MASK_BITS", 18 ** 2)
+    assert conjecture_search("c4.3", k=2, graph=BipartiteGraph.complete(3),
+                             budget=1).instances == 1
+    assert conjecture_search("c4.1", k=3, budget=1).instances == 1   # K_{4,4}
+    assert conjecture_search("c4.1", k=2, graph=BipartiteGraph.complete(3, 6),
+                             budget=1).instances == 1
+    for target, k, graph in (("c4.3", 2, BipartiteGraph.complete(3, 4)),
+                             ("c4.1", 4, None),
+                             ("c4.1", 2, BipartiteGraph.complete(3, 7))):
+        with pytest.raises(ValueError, match="edge table"):
+            conjecture_search(target, k=k, graph=graph, budget=1)
+
+
 @pytest.mark.parametrize("target, k, expected", [
     ("c4.1", 1, (15, 15)),
     ("c4.1", 2, (680, 428)),
@@ -192,6 +296,10 @@ def test_search_validates_arguments():
     with pytest.raises(ValueError):
         # the K_{3,3} exhaustive space dwarfs any sane budget
         conjecture_search("c4.1", k=2, graph=BipartiteGraph.complete(3),
+                          budget=10_000, exhaustive=True)
+    with pytest.raises(ValueError, match="above the budget"):
+        # counted before its 2**25 - 1 nonempty edge subsets are built
+        conjecture_search("c4.1", k=1, graph=BipartiteGraph.complete(5),
                           budget=10_000, exhaustive=True)
 
 
