@@ -33,9 +33,9 @@ from .generators import drisko_family, sharpness_family, staircase_family
 from .network import build_network
 from .regiment import check_structure_lemmas, verify_regimentation
 from .search import TARGETS, conjecture_search
-from .serialize import (_MAX_ROWS, SCHEMA, CertificateError, ParseError,
-                        _json_loads, dumps_canonical, family_dumps,
-                        family_to_json, load_instance, matching_certificate,
+from .serialize import (SCHEMA, CertificateError, ParseError, _json_loads,
+                        dumps_canonical, family_dumps, family_to_json,
+                        load_instance, matching_certificate,
                         matching_from_certificate, network_dot,
                         regimentation_from_certificate)
 from .solver import (HypothesisFailure, ViolationReport, solve_main,
@@ -139,26 +139,15 @@ def _cmd_gen(args) -> int:
     if family == "sharpness":
         if n is None or k is None:
             raise ParseError("gen sharpness needs --n and --k")
-        side, members = n, 2 * n + k - 4
+        _, fam = sharpness_family(n, k)
     elif family == "drisko":
         if n is None:
             raise ParseError("gen drisko needs --n")
-        side, members, seed = n, 2 * n - 1, _seed(args)
+        fam = drisko_family(n, _seed(args))
     else:
         if k is None:
             raise ParseError("gen staircase needs --k")
-        side, members, seed = k, 2 * k - 1, _seed(args)
-    # the reader refuses such a file, and building it runs out of memory
-    if side > 0 and members * (side + 1) > _MAX_ROWS:
-        raise ValueError(f"gen {family} would write {members} members over a "
-                         f"side of {side}; members times (side + 1) may be "
-                         f"at most {_MAX_ROWS}")
-    if family == "sharpness":
-        _, fam = sharpness_family(n, k)
-    elif family == "drisko":
-        fam = drisko_family(n, seed)
-    else:
-        fam = staircase_family(k, seed)
+        fam = staircase_family(k, _seed(args))
     print(family_dumps(fam), end="")
     return EXIT_OK
 

@@ -244,44 +244,54 @@ def _least_owners(rows: list[int]) -> list[int] | None:
     return picked
 
 
-def _first_short_union(g: BipartiteGraph, rows: list[list[int]],
-                       floors: tuple[int, ...]) -> tuple[int, ...] | None:
-    """First index set K with nu(union K) < floors[|K| - 1], or None, for
-    the members over g whose _rows are given.
+def _first_short_union(members: list, floors: tuple[int, ...], grow,
+                       empty) -> tuple[int, ...] | None:
+    """First index set K (1-based, ascending) whose union is smaller than
+    floors[|K| - 1], or None; the package's one walk over k-unions.
 
-    Walks the index sets of at most len(floors) members depth-first in
-    lexicographic order.  Each prefix's union and maximum matching are
-    carried down the walk: a matching of a prefix union is a matching of
-    every extension, so each step only augments.  floors must be
-    nondecreasing; zero floors are never checked, and prefixes too late to
-    reach the first positive floor are not walked.  A prefix whose union
-    already reaches the last floor is not extended, since nu only grows
-    under union.
+    grow(union, member) returns (grown union, its size), and empty is the
+    union of no members.  Index sets of at most len(floors) members are
+    walked depth-first in lexicographic order, each prefix's union carried
+    down the walk.  floors must be nonnegative and nondecreasing; zero
+    floors are never failed, and prefixes too late to reach the first
+    positive floor are not walked.  A prefix whose union already reaches
+    the last floor is not extended, since a union's size only grows.
     """
-    first = next((d for d, f in enumerate(floors) if f > 0), None)
-    if first is None:
-        return None
-    m, depth_limit, goal = len(rows), len(floors), floors[-1]
-    picked: list[int] = []
+    first, last, m, goal = floors.count(0), len(floors) - 1, len(members), floors[-1]
 
-    def walk(start: int, depth: int, union: list[int], owner: list[int],
-             matched: int) -> tuple[int, ...] | None:
-        for i in range(start, m - max(0, first - depth)):
-            grown = [x | y for x, y in zip(union, rows[i])]
-            mates = owner.copy()
-            now = _kuhn(grown, mates, matched, goal)
-            picked.append(i + 1)
-            size = now.bit_count()
-            if size < floors[depth]:
-                return tuple(picked)
-            if size < goal and depth + 1 < depth_limit:
-                found = walk(i + 1, depth + 1, grown, mates, now)
+    def walk(start: int, depth: int, union) -> tuple[int, ...] | None:
+        floor, extends = floors[depth], depth < last
+        # a prefix of depth + 1 members still needs first - depth more
+        for i in range(start, m - first + depth if depth < first else m):
+            grown, size = grow(union, members[i])
+            if size < floor:
+                return (i + 1,)
+            if size < goal and extends:
+                found = walk(i + 1, depth + 1, grown)
                 if found is not None:
-                    return found
-            picked.pop()
+                    return (i + 1, *found)
         return None
 
-    return walk(0, 0, [0] * (g.left_size + 1), [0] * (g.right_size + 1), 0)
+    return walk(0, 0, empty)
+
+
+def _short_matching_union(g: BipartiteGraph, sets, floors) -> tuple[int, ...] | None:
+    """_first_short_union over edge sets, a union's size being its matching
+    number capped at floors[-1].  A union is its _rows, Kuhn owners and
+    matched mask: a prefix's matching is one of every extension, so each
+    step only augments."""
+    goal = floors[-1]
+
+    def grow(union, rows):
+        union_rows, owner, matched = union
+        grown = [x | y for x, y in zip(union_rows, rows)]
+        mates = owner.copy()
+        matched = _kuhn(grown, mates, matched, goal)
+        return (grown, mates, matched), matched.bit_count()
+
+    return _first_short_union(
+        [_rows(g, s) for s in sets], floors, grow,
+        ([0] * (g.left_size + 1), [0] * (g.right_size + 1), 0))
 
 
 def max_matching(g: BipartiteGraph,
@@ -366,8 +376,8 @@ def cooperative_condition(fam: EdgeFamily, k: int, n: int) -> tuple[int, ...] | 
     """Does every k-member union contain a matching of size n?
 
     Returns None on success, otherwise the lexicographically least failing
-    index set (1-based, ascending).  Runs the shared prefix-union walk on
-    the bitmask kernel.
+    index set (1-based, ascending).  Runs the one k-union walk with the
+    matching grower graded_union_condition shares (_short_matching_union).
     """
     _require_ints((k, n), "a size parameter")
     m = len(fam)
@@ -375,6 +385,4 @@ def cooperative_condition(fam: EdgeFamily, k: int, n: int) -> tuple[int, ...] | 
         raise ValueError(f"k must satisfy 1 <= k <= {m}")
     if n <= 0:
         return None
-    g = fam.graph
-    return _first_short_union(g, [_rows(g, s) for s in fam.sets],
-                              (0,) * (k - 1) + (n,))
+    return _short_matching_union(fam.graph, fam.sets, (0,) * (k - 1) + (n,))

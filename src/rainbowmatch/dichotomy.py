@@ -10,12 +10,9 @@ expected.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
-from .core import _require_ints
+from .core import _first_short_union, _require_ints
 from .network import Network, NetworkFamily, _mask_has_path, _network_of
 from .paths import RainbowStPath, exhaustive_rainbow_path
 from .regiment import Regimentation, find_regimentation
@@ -59,6 +56,10 @@ def dichotomy(net: Network, nf: NetworkFamily, k: int
     """Return a rainbow source-target path if one exists, else a verified
     regimentation; the hypothesis and the family size are checked first.
 
+    The hypothesis is core's one k-union walk over arc masks, a union's
+    size being whether it holds a path; a prefix holding one is not
+    extended, so UnionPathError names the least failing k-set.
+
     The two outcomes are not mutually exclusive; the path branch is tried
     first because it is the cheap, useful one.
     """
@@ -66,12 +67,14 @@ def dichotomy(net: Network, nf: NetworkFamily, k: int
     if k < 1:
         raise ValueError("need k >= 1")
     net = _network_of(net, nf)
-    m = len(nf)
-    if m != len(net.inner) + k - 1:
+    if len(nf) != len(net.inner) + k - 1:
         raise ValueError("family size must be inner-count + k - 1")
-    masks = nf.masks
-    for picked in itertools.combinations(range(1, m + 1), k):
-        if not _mask_has_path(reduce(or_, (masks[p - 1] for p in picked), 0),
-                              net._size):
-            raise UnionPathError(picked)
+
+    def grow(union: int, mask: int) -> tuple[int, bool]:
+        union |= mask
+        return union, _mask_has_path(union, net._size)
+
+    failing = _first_short_union(nf.masks, (0,) * (k - 1) + (1,), grow, 0)
+    if failing is not None:
+        raise UnionPathError(failing)
     return path_or_certificate(nf)

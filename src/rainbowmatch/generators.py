@@ -10,9 +10,18 @@ from itertools import compress
 from .core import (BipartiteGraph, EdgeFamily, _edge_table, _require_ints,
                    _trusted, cooperative_condition)
 from .rng import SplitMix64
+from .serialize import _MAX_ROWS
 
 # draws random_cooperative_family makes before it gives up
 _ATTEMPTS = 200
+
+
+def _refuse_oversized(members: int, side: int) -> None:
+    """Refuse, before it is built, a family of members over a graph with
+    side left vertices whose members times (side + 1) pass _MAX_ROWS: the
+    reader refuses such a file, and building one runs out of memory."""
+    if members * (side + 1) > _MAX_ROWS:
+        raise ValueError(f"members times (side + 1) may be at most {_MAX_ROWS}")
 
 
 def sharpness_family(n: int, k: int) -> tuple[BipartiteGraph, EdgeFamily]:
@@ -25,6 +34,7 @@ def sharpness_family(n: int, k: int) -> tuple[BipartiteGraph, EdgeFamily]:
     _require_ints((n, k), "a size parameter")
     if n < 2 or k < 2:
         raise ValueError("need n >= 2 and k >= 2")
+    _refuse_oversized(2 * n + k - 4, n)
     g = BipartiteGraph.complete(n)
     diagonal = frozenset((i, i) for i in range(1, n + 1))
     shifted = frozenset((i, i % n + 1) for i in range(1, n + 1))
@@ -38,6 +48,7 @@ def drisko_family(n: int, seed: int = 0) -> EdgeFamily:
     _require_ints((n,), "a size parameter")
     if n < 1:
         raise ValueError("need n >= 1")
+    _refuse_oversized(2 * n - 1, n)
     g = BipartiteGraph.complete(n)
     rng = SplitMix64(seed)
     sets = []
@@ -53,6 +64,7 @@ def staircase_family(k: int, seed: int = 0) -> EdgeFamily:
     _require_ints((k,), "a size parameter")
     if k < 1:
         raise ValueError("need k >= 1")
+    _refuse_oversized(2 * k - 1, k)
     g = BipartiteGraph.complete(k)
     rng = SplitMix64(seed)
     sets = []
@@ -104,6 +116,7 @@ def random_cooperative_family(n: int, k: int, graph: BipartiteGraph,
     _require_ints((n, k), "a size parameter")
     if type(density) not in (int, float) or not 0 <= density <= 1:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
+    _refuse_oversized(2 * n + k - 3, graph.left_size)
     rng = SplitMix64(seed)
     permille = round(density * 1000)
     for _ in range(_ATTEMPTS):

@@ -119,6 +119,40 @@ def _mask_has_path(mask: int, size: int) -> bool:
     return bool(seen >> (size - 1) & 1)
 
 
+def _only_path(mask: int, size: int) -> tuple[int, ...] | None:
+    """The ranks of the one source-target path over the arcs of mask, or
+    None when there is no such path or more than one.
+
+    A search from the source finds a path P.  Any other simple path misses
+    an arc of P (a simple path holding every arc of P is P), so P is the
+    only one exactly when deleting any one of its arcs cuts the target off.
+    """
+    row = (1 << size) - 1
+    parent = [0] * size
+    seen = todo = 1
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
+        fresh = mask >> (u * size) & row & ~seen
+        seen |= fresh
+        todo |= fresh
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            parent[bit.bit_length() - 1] = u
+    if not seen >> (size - 1) & 1:
+        return None
+    ranks = [size - 1]
+    while ranks[-1]:
+        ranks.append(parent[ranks[-1]])
+    ranks.reverse()
+    for u, v in zip(ranks, ranks[1:]):
+        if _mask_has_path(mask & ~(1 << (u * size + v)), size):
+            return None
+    return tuple(ranks)
+
+
 def _rank_paths(mask: int, size: int) -> Iterator[tuple[int, ...]]:
     """Simple source-target paths over the arcs of mask, as vertex-rank
     tuples in lexicographic order."""

@@ -10,7 +10,6 @@ structural consequences they must satisfy into executable checks.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -19,7 +18,7 @@ from typing import Mapping
 
 from .core import _require_ints
 from .network import (SOURCE, TARGET, Network, NetworkFamily, StPath,
-                      _mask_has_path, _network_of, _path_ranks, _rank_paths)
+                      _mask_has_path, _network_of, _only_path, _path_ranks)
 from .paths import exhaustive_rainbow_path
 
 
@@ -149,9 +148,9 @@ def find_regimentation(net: Network, nf: NetworkFamily) -> Regimentation | None:
         return Regimentation((StPath((SOURCE, TARGET)),), {})
     groups: dict[tuple[int, ...], list[int]] = {}
     for member, mask in enumerate(nf.masks, start=1):
-        found = list(itertools.islice(_rank_paths(mask, net._size), 2))
-        if len(found) == 1:
-            groups.setdefault(found[0], []).append(member)
+        path = _only_path(mask, net._size)
+        if path is not None:
+            groups.setdefault(path, []).append(member)
     order = sorted(groups, key=lambda ranks: min(ranks[1:-1], default=0))
     certificate = Regimentation(
         tuple(net._path(ranks) for ranks in order),
@@ -191,7 +190,8 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily,
     - backward: inessential members only hold backward arcs, and members
       assigned to a path stay inside its arcs, backward arcs, and the
       useless arcs around it;
-    - only path: an essential member contains exactly its assigned path;
+    - only path: an essential member contains exactly its assigned path
+      (network._only_path, by deleting the path's arcs one at a time);
     - essential iff path: a member is essential exactly when it contains a
       source-target path.
 
@@ -219,10 +219,8 @@ def check_structure_lemmas(net: Network, nf: NetworkFamily,
         for member, target in r.assignment.items():
             if target == pos and masks[member - 1] & ~allowed:
                 backward_ok = False
-    only_path_ok = all(
-        list(itertools.islice(_rank_paths(masks[member - 1], size), 2))
-        == [tuple(ranks[pos])]
-        for member, pos in r.assignment.items())
+    only_path_ok = all(_only_path(masks[member - 1], size) == tuple(ranks[pos])
+                       for member, pos in r.assignment.items())
     essential_iff = all((i in essential) == _mask_has_path(mask, size)
                         for i, mask in enumerate(masks, start=1))
     return StructureLemmaReport(True, counting_ok, backward_ok,

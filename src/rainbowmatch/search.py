@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (BipartiteGraph, EdgeFamily, _edge_table, _first_short_union,
-                   _kuhn, _mask_rows, _rainbow_walk, _require_ints, _rows,
-                   _trusted, max_matching, rainbow_matching_max)
+                   _kuhn, _mask_rows, _rainbow_walk, _require_ints,
+                   _short_matching_union, _trusted, max_matching,
+                   rainbow_matching_max)
 from .generators import _random_picks
 from .rng import SplitMix64
 from .serialize import _MAX_MASK_BITS
@@ -62,14 +63,14 @@ def graded_union_condition(fam: EdgeFamily, k: int) -> bool:
 
     Only subfamilies of at most k members are walked: a larger K contains
     a k-subset, whose union's matching number already bounds nu(union K)
-    from below by k.
+    from below by k.  The walk is core's one k-union walk with the
+    matching grower cooperative_condition uses.
     """
     _require_ints((k,), "a size parameter")
     if k < 1:
         raise ValueError("need k >= 1")
-    g = fam.graph
-    return _first_short_union(g, [_rows(g, s) for s in fam.sets],
-                              tuple(range(1, min(k, len(fam)) + 1))) is None
+    return _short_matching_union(fam.graph, fam.sets,
+                                 tuple(range(1, min(k, len(fam)) + 1))) is None
 
 
 @lru_cache(maxsize=8)
@@ -84,26 +85,6 @@ def _nu_table(g: BipartiteGraph, goal: int) -> dict[int, int]:
     """min(nu(mask), goal) by edge mask over g (in _edge_table bits), for
     the unions the search has met; at most _TABLE_CAP entries."""
     return {}
-
-
-def _hypothesis_holds(masks: list[int], floors: tuple[int, ...], nu) -> bool:
-    """Whether nu(union K) >= floors[|K| - 1] for every index set K of at
-    most len(floors) members (floors positive and nondecreasing; nu gives a
-    union mask's matching number capped at floors[-1]).  The walk is
-    core._first_short_union's: depth-first and lexicographic, stopping at
-    the first short union, and not extending a prefix at the last floor."""
-    goal, last = floors[-1], len(floors) - 1
-
-    def short(start: int, depth: int, union: int) -> bool:
-        for i in range(start, len(masks)):
-            grown = union | masks[i]
-            size = nu(grown)
-            if size < floors[depth] or (size < goal and depth < last
-                                        and short(i + 1, depth + 1, grown)):
-                return True
-        return False
-
-    return not short(0, 0, 0)
 
 
 def doubled_family(fam: EdgeFamily) -> EdgeFamily:
@@ -125,9 +106,10 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
     of the graph (the checked statements are invariant under member order);
     it refuses spaces larger than the budget.  Sampling mode draws budget
     seeded random families.  Instances run as edge masks (_edge_table).  The
-    hypothesis walks each instance's unions as single masks, reading each
-    union's matching number, capped at k, from the graph's _nu_table (at
-    most _TABLE_CAP entries; a miss is one Kuhn run stopped at k).  A graph
+    hypothesis is core's k-union walk, _first_short_union, with each union
+    one integer OR of member masks and its matching number, capped at k,
+    read from the graph's _nu_table (at most _TABLE_CAP entries; a miss is
+    one Kuhn run stopped at k).  A graph
     whose edge table would pass _MAX_MASK_BITS bits (edges squared, on the
     doubled graph for c4.3) is refused before anything is built.  A
     counterexample found becomes an EdgeFamily, re-verified through the
@@ -162,18 +144,20 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
         floors, needed, shift = (k,), members, width
         disjoint = _edge_table(_doubled_graph(graph))[2]
 
-    def nu(mask: int) -> int:
-        size = table.get(mask)
-        if size is None:
-            size = _kuhn(_mask_rows(graph, bits, mask), blank.copy(), 0, k).bit_count()
+    def grow(union: int, mask: int) -> tuple[int, int]:
+        union |= mask
+        try:
+            return union, table[union]
+        except KeyError:
+            size = _kuhn(_mask_rows(graph, bits, union), blank.copy(), 0, k).bit_count()
             if len(table) < _TABLE_CAP:
-                table[mask] = size
-        return size
+                table[union] = size
+            return union, size
 
     def rainbow_size(masks) -> int | None:
         # None when masks fail the hypothesis, which puts the union's
         # matching number at needed or above: needed is the walk's ceiling
-        if not _hypothesis_holds(masks, floors, nu):
+        if _first_short_union(masks, floors, grow, 0) is not None:
             return None
         if shift:
             masks = [mask | mask << shift for mask in masks]
@@ -185,8 +169,12 @@ def conjecture_search(target: str, k: int, graph: BipartiteGraph | None = None,
         # 2**width - 1 nonempty subsets, counted before any is built
         space = math.comb((1 << width) + members - 2, members)
         if space > budget:
+            try:
+                count = f"{space} multisets"
+            except ValueError:   # past the digits str() converts
+                count = f"at least 2**{space.bit_length() - 1} multisets"
             raise ValueError(
-                f"exhaustive space has {space} multisets, above the budget {budget}")
+                f"exhaustive space has {count}, above the budget {budget}")
         subsets = [sum(c) for size in range(1, width + 1)
                    for c in itertools.combinations(powers, size)]
         draws = itertools.combinations_with_replacement(subsets, members)

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from rainbowmatch import (BipartiteGraph, EdgeFamily, cooperative_condition,
-                          max_matching, rainbow_matching_max)
+                          generators, max_matching, rainbow_matching_max)
 from rainbowmatch.generators import (drisko_family, random_cooperative_family,
                                      random_family, sharpness_family,
                                      staircase_family)
@@ -34,6 +34,33 @@ def test_sharpness_family_shapes():
         sharpness_family(1, 2)
     with pytest.raises(ValueError):
         sharpness_family(2, 1)
+
+
+def test_generators_refuse_a_family_the_reader_would_refuse():
+    # members times (side + 1) past 2**22, refused before anything is
+    # built: neither K_{2**70, 2**70} nor 2**71 members would fit in memory
+    for make in (lambda: sharpness_family(2, 2 ** 70),
+                 lambda: sharpness_family(1500, 2),
+                 lambda: drisko_family(2 ** 70),
+                 lambda: staircase_family(2 ** 70),
+                 lambda: random_cooperative_family(2 ** 70, 2,
+                                                   BipartiteGraph.complete(3))):
+        with pytest.raises(ValueError, match="members times"):
+            make()
+
+
+def test_generator_size_bound_is_members_times_side_plus_one(monkeypatch):
+    # staircase k = 2 and drisko n = 2 write 3 members over a side of 2,
+    # sharpness n = 2, k = 3 writes 3 members: 9 row entries each
+    makers = (lambda: staircase_family(2), lambda: drisko_family(2),
+              lambda: sharpness_family(2, 3)[1])
+    monkeypatch.setattr(generators, "_MAX_ROWS", 9)
+    for make in makers:
+        assert len(make()) == 3
+    monkeypatch.setattr(generators, "_MAX_ROWS", 8)
+    for make in makers:
+        with pytest.raises(ValueError, match="at most 8"):
+            make()
 
 
 def test_sharpness_family_is_sharp():

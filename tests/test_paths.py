@@ -196,6 +196,38 @@ def test_dichotomy_checks_size_and_hypothesis():
     assert caught.value.indices == (1, 2)
 
 
+def test_dichotomy_names_the_least_failing_k_set():
+    # the walk against the first failing k-set of an unpruned combinations
+    # loop, on seeded random families at the critical size
+    rng = random.Random(53)
+    seen = {"pass": 0, "fail": 0, "past first": 0, "pruned prefix": 0}
+    for _ in range(600):
+        inner = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
+        k = rng.randint(1, 3)
+        pool = all_arcs_over(inner)
+        density = rng.choice((0.2, 0.35, 0.5))
+        sets = [{a for a in pool if rng.random() < density}
+                for _ in range(len(inner) + k - 1)]
+        nf = abstract_family(inner, sets, full_arcs=pool)
+        expected = next((picked for picked in itertools.combinations(
+            range(1, len(sets) + 1), k) if not has_st_path(
+                set().union(*(sets[p - 1] for p in picked)))), None)
+        if expected is None:
+            assert not isinstance(dichotomy(nf.network, nf, k), TheoremViolation)
+            seen["pass"] += 1
+            continue
+        with pytest.raises(UnionPathError) as caught:
+            dichotomy(nf.network, nf, k)
+        assert caught.value.indices == expected, sets
+        seen["fail"] += 1
+        seen["past first"] += expected != tuple(range(1, k + 1))
+        # a member before the failing set holds a path alone, so the walk
+        # passed a prefix it did not extend
+        seen["pruned prefix"] += k > 1 and any(
+            has_st_path(sets[i]) for i in range(expected[0] - 1))
+    assert all(seen.values()), seen
+
+
 def test_dichotomy_zero_inner():
     empty_family = abstract_family((), [])
     out = dichotomy(empty_family.network, empty_family, 1)

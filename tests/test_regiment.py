@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from rainbowmatch import (Network, NetworkFamily, Regimentation, StPath,
                           find_regimentation, regiment, verify_regimentation)
 from rainbowmatch.cli import main
 
-from rainbowmatch.network import _path_ranks
+from rainbowmatch.network import _only_path, _path_ranks
 from rainbowmatch.regiment import (_backward_mask, _least_backward_arc,
                                    _useless_mask)
 
@@ -473,3 +474,53 @@ def test_only_path_pruning_property():
             for p in paths:
                 if set(p.arcs) <= allowed:
                     assert p == q
+
+
+def _naive_only_path(arcs, net: Network):
+    """The ranks of the arcs' one source-target path, from the full list
+    of their simple paths; None unless there is exactly one."""
+    paths = list(naive_st_paths(arcs, net))
+    if len(paths) != 1:
+        return None
+    return tuple(net._ranks[v] for v in paths[0].vertices)
+
+
+def test_only_path_matches_the_naive_path_list():
+    # every arc subset over criterion 4's networks (at most two inner
+    # vertices), then seeded random arc sets over up to six
+    cases = []
+    for inner in ((), ("u",), ("u", "v")):
+        pool = all_arcs_over(inner)
+        net = Network(inner=inner, arcs=pool)
+        cases += [(net, [a for i, a in enumerate(pool) if pick >> i & 1])
+                  for pick in range(1 << len(pool))]
+    rng = random.Random(37)
+    for _ in range(400):
+        inner = tuple(f"v{i}" for i in range(rng.randint(0, 6)))
+        pool = all_arcs_over(inner)
+        density = rng.choice((0.1, 0.25, 0.5))
+        cases.append((Network(inner=inner, arcs=pool),
+                      [a for a in pool if rng.random() < density]))
+    verdicts = Counter()
+    for net, arcs in cases:
+        expected = _naive_only_path(arcs, net)
+        mask = NetworkFamily(net, [arcs]).masks[0]
+        assert _only_path(mask, net._size) == expected, (net.inner, arcs)
+        verdicts[len(net.inner), expected is None] += 1
+    # both verdicts at every size: no path or several, and exactly one
+    assert all(verdicts[r, True] and verdicts[r, False] for r in range(7))
+
+
+def test_only_path_does_not_walk_a_dead_end_clique():
+    # s -> v1, every arc among v1..v11 and none out of them, and
+    # s -> v12 -> t: enumerating paths in rank order walks the clique's
+    # paths before the one path; the growth is about ninefold per vertex
+    inner = tuple(f"v{i}" for i in range(1, 13))
+    clique = [(u, v) for u in inner[:-1] for v in inner[:-1] if u != v]
+    nf = abstract_family(inner, [[("s", "v1"), *clique,
+                                  ("s", "v12"), ("v12", "t")]])
+    start = time.perf_counter()
+    # the clique's vertices stay uncovered, so no certificate verifies
+    assert find_regimentation(nf.network, nf) is None
+    assert time.perf_counter() - start < 1.0
+    assert _only_path(nf.masks[0], nf.network._size) == (0, 12, 13)

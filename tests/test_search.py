@@ -185,16 +185,16 @@ def _reference_verdict(target, g, masks, k):
 
 
 def record_verdicts(monkeypatch):
-    """Wrap the search's hypothesis walk; the list gets (masks, verdict)
-    for every instance the search checks."""
-    seen, walk = [], search._hypothesis_holds
+    """Wrap the k-union walk as the search calls it; the list gets (masks,
+    verdict) for every instance the search checks."""
+    seen, walk = [], search._first_short_union
 
-    def recorded(masks, floors, nu):
-        verdict = walk(masks, floors, nu)
-        seen.append((list(masks), verdict))
-        return verdict
+    def recorded(masks, floors, grow, empty):
+        failing = walk(masks, floors, grow, empty)
+        seen.append((list(masks), failing is None))
+        return failing
 
-    monkeypatch.setattr(search, "_hypothesis_holds", recorded)
+    monkeypatch.setattr(search, "_first_short_union", recorded)
     return seen
 
 
@@ -301,6 +301,10 @@ def test_search_validates_arguments():
         # counted before its 2**25 - 1 nonempty edge subsets are built
         conjecture_search("c4.1", k=1, graph=BipartiteGraph.complete(5),
                           budget=10_000, exhaustive=True)
+    with pytest.raises(ValueError, match="above the budget 10$"):
+        # a count of over 4300 digits, more than str() converts
+        conjecture_search("c4.1", 1, graph=BipartiteGraph.complete(120),
+                          budget=10, exhaustive=True)
 
 
 def test_exhaustive_budget_boundary_is_the_multiset_count():
